@@ -28,6 +28,14 @@ var benchCorpus = func() *asm.Program {
 
 var benchBench = corpus.Generate("bench", 1234, 4000)
 
+// oneShotEngine is the engine package-level Infer runs on: fresh, with
+// session recording off, so every benchmark op starts cold.
+func oneShotEngine() *solver.Engine {
+	e := solver.NewEngine(0, 0)
+	e.DisableSessionRecording()
+	return e
+}
+
 // BenchmarkFig7CorpusGen regenerates the Figure 7 benchmark inventory.
 func BenchmarkFig7CorpusGen(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -144,8 +152,6 @@ func BenchmarkConstraintGen(b *testing.B) {
 	_ = res
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys := baselines.Retypd()
-		_ = sys
 		// Re-run generation only via the unify path (no solving).
 		_ = corpus.Generate("tmp", 1, 100)
 	}
@@ -200,7 +206,7 @@ func BenchmarkAblationUnifyVsSub(b *testing.B) {
 	lat := lattice.Default()
 	b.Run("subtyping", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			o := baselines.Retypd().Run(benchCorpus, lat)
+			o := baselines.Retypd(oneShotEngine()).Run(benchCorpus, lat)
 			_ = eval.ScoreOutcome(o, benchBench)
 		}
 	})

@@ -75,8 +75,8 @@ func main() {
 	if needSuite(*exp) {
 		fmt.Fprintln(os.Stderr, "generating corpus and running all systems…")
 		suite = eval.RunSuite(cfg)
-		fmt.Fprintf(os.Stderr, "suite-wide memo effectiveness: body dedup %d hits / %d misses, scheme cache %d hits / %d misses, shape cache %d hits / %d misses\n",
-			suite.BodyDedupHits, suite.BodyDedupMisses,
+		fmt.Fprintf(os.Stderr, "suite-wide memo effectiveness: body dedup %d hits / %d cross-program hits / %d misses, scheme cache %d hits / %d misses, shape cache %d hits / %d misses\n",
+			suite.BodyDedupHits, suite.BodyDedupCrossHits, suite.BodyDedupMisses,
 			suite.SchemeCacheHits, suite.SchemeCacheMisses, suite.ShapeCacheHits, suite.ShapeCacheMisses)
 	}
 	var scaling []eval.ScalingPoint

@@ -11,11 +11,11 @@ import (
 )
 
 // Engine is a long-lived analysis session — the way a service or a
-// batch tool should run inference. Where Infer is one-shot (private
-// caches, nothing retained), an Engine owns the whole memo stack
-// (whole-body dedup runs per call; the scheme-simplification and
-// phase-2 shape memos are shared by every call) and the session state
-// incremental re-analysis diffs against:
+// batch tool should run inference, and the only way any inference runs:
+// Infer is a one-shot wrapper over a fresh engine with sessions off.
+// An Engine owns the whole memo stack (the body-class table and the
+// scheme-simplification and phase-2 shape memos, all shared by every
+// call) and the session state incremental re-analysis diffs against:
 //
 //	eng := retypd.NewEngine(nil)
 //	res := eng.Infer(prog, nil)          // cold: full pipeline
@@ -40,12 +40,9 @@ type Engine struct {
 	lastCfg *Config
 }
 
-// EngineOptions sizes a new engine; the zero value (and a nil pointer)
-// select defaults.
+// EngineOptions configures a new engine; the zero value (and a nil
+// pointer) select defaults.
 type EngineOptions struct {
-	// SchemeCacheCap and ShapeCacheCap bound the two shared memo layers
-	// in entries (≤ 0 selects the package defaults).
-	SchemeCacheCap, ShapeCacheCap int
 	// DisableSessions turns off session recording: the engine becomes a
 	// pure cache sharer — Infer skips the per-run session snapshot (a
 	// whole-program fingerprint pass plus retention of the previous
@@ -60,7 +57,7 @@ func NewEngine(opts *EngineOptions) *Engine {
 	if opts == nil {
 		opts = &EngineOptions{}
 	}
-	eng := solver.NewEngine(opts.SchemeCacheCap, opts.ShapeCacheCap)
+	eng := solver.NewEngine(0, 0)
 	if opts.DisableSessions {
 		eng.DisableSessionRecording()
 	}
@@ -70,9 +67,8 @@ func NewEngine(opts *EngineOptions) *Engine {
 // Infer runs the full pipeline with the engine's shared caches and
 // records the run as the engine's current session (the baseline the
 // next Reanalyze diffs against). cfg works exactly as in the package-
-// level Infer; the deprecated Config.SchemeCache/ShapeCache fields are
-// ignored — the engine's own caches are used (Config.NoSchemeCache and
-// friends still disable layers for baseline measurements).
+// level Infer (Config.NoSchemeCache and friends disable layers for
+// baseline measurements).
 func (e *Engine) Infer(prog *Program, cfg *Config) *Result {
 	res, err := e.InferContext(context.Background(), prog, cfg)
 	if err != nil {
@@ -193,7 +189,7 @@ func (e *Engine) LoadCacheFile(path string) error {
 // CacheLen reports the current entry counts of the two shared memo
 // layers (observability for CLIs and tests).
 func (e *Engine) CacheLen() (schemeEntries, shapeEntries int) {
-	return e.eng.SchemeCache().Len(), e.eng.ShapeCache().Len()
+	return e.eng.CacheLen()
 }
 
 // LoadCache reads a cache file written by Engine.SaveCache into a fresh

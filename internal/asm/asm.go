@@ -311,6 +311,11 @@ func Parse(src string) (*Program, error) {
 			if cur == nil {
 				return nil, parseErrf(lineNo, "endproc outside proc")
 			}
+			if len(cur.Insts) == 0 {
+				// Every analysis stage assumes a procedure has an entry
+				// instruction; reject the empty body here, with a line.
+				return nil, parseErrf(lineNo, "proc %q has no instructions", cur.Name)
+			}
 			if prog.ProcIndex[cur.Name] != nil {
 				return nil, parseErrf(lineNo, "duplicate proc %q", cur.Name)
 			}

@@ -72,6 +72,8 @@ func TestParseErrors(t *testing.T) {
 		"proc f\nmov [eax], [ebx]\nret\nendproc",     // mem-to-mem
 		"proc f\nlea eax, ebx\nret\nendproc",         // lea needs memory
 		"proc f\nbogus eax, 1\nret\nendproc",         // unknown mnemonic
+		"proc f\nendproc",                            // no instructions
+		"proc f\nL:\nendproc",                        // only a label
 	} {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("expected error for %q", src)

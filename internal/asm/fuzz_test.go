@@ -22,7 +22,8 @@ func TestWriteFuzzCorpus(t *testing.T) {
 
 // fuzzAsmSeeds covers the grammar's surface — every mnemonic family,
 // labels, comments, hex literals, memory operands — plus the error
-// paths (nested proc, dangling proc, unknown label, malformed operand)
+// paths (nested proc, dangling proc, unknown label, malformed operand,
+// empty proc)
 // so the fuzzer starts from both sides of the accept/reject boundary.
 func fuzzAsmSeeds() [][]byte {
 	srcs := []string{
@@ -39,6 +40,7 @@ func fuzzAsmSeeds() [][]byte {
 		"proc f\n  mov eax, [ebp+\n  ret\nendproc\n",
 		"proc f\n  ret\n",
 		"endproc\n",
+		"proc f\nendproc\n",
 	}
 	out := make([][]byte, len(srcs))
 	for i, s := range srcs {

@@ -39,11 +39,9 @@ type Outcome struct {
 	// ParamSk and OutSk return nil when the system produced nothing.
 	ParamSk func(proc, loc string) *sketch.Sketch
 	OutSk   func(proc string) *sketch.Sketch
-	// BodyDedupHits/Misses report the solver's whole-body dedup layer
-	// for this run (zero for systems that bypass the solver pipeline —
-	// unlike the scheme/shape memos, the dedup table is per-run, so its
-	// stats surface per outcome rather than on a shared cache object).
-	BodyDedupHits, BodyDedupMisses uint64
+	// MemoStats reports the solver's memo activity for this run (zero
+	// for systems that bypass the solver pipeline).
+	solver.MemoStats
 }
 
 // System is a runnable type-inference configuration.
@@ -52,61 +50,42 @@ type System struct {
 	Run  func(prog *asm.Program, lat *lattice.Lattice) *Outcome
 }
 
-// Retypd is the paper's system (the main pipeline).
-func Retypd() System { return RetypdEngine(nil) }
-
-// RetypdEngine is Retypd running inside a caller-provided long-lived
-// solver.Engine: every Run shares the engine's scheme-simplification
-// and shape memos (with any other system on the same engine). Sharing
-// is sound across programs and configurations — cache safety comes
-// from the canonical keys, see the contracts on pgraph.SimplifyCache
-// and sketch.ShapeCache — and lets duplicate leaf procedures across a
-// whole benchmark suite be simplified and shape-solved once. A nil
-// engine gives each Run a private one-shot pipeline.
-func RetypdEngine(eng *solver.Engine) System {
+// Retypd is the paper's system (the main pipeline), running inside eng:
+// every Run shares the engine's memo stack (with any other system on the
+// same engine). Sharing is sound across programs and configurations —
+// cache safety comes from the canonical keys, see the contracts on
+// pgraph.SimplifyCache and sketch.ShapeCache — and lets duplicate leaf
+// procedures across a whole benchmark suite be simplified and
+// shape-solved once.
+func Retypd(eng *solver.Engine) System {
 	return System{Name: "Retypd", Run: func(prog *asm.Program, lat *lattice.Lattice) *Outcome {
 		opts := solver.DefaultOptions()
 		opts.KeepIntermediates = false
-		var res *solver.Result
-		if eng != nil {
-			res = eng.Infer(prog, lat, nil, opts)
-		} else {
-			res = solver.Infer(prog, lat, nil, opts)
-		}
-		return outcomeFromSolver(res, lat)
+		return outcomeFromSolver(eng.Infer(prog, lat, nil, opts), lat)
 	}}
 }
 
-// TIEStyle is the monomorphic, recursion-free subtype baseline.
-func TIEStyle() System { return TIEStyleEngine(nil) }
-
-// TIEStyleEngine is TIEStyle sharing a solver.Engine; see RetypdEngine.
-// Sharing one engine with Retypd is sound even though TIE* truncates
-// sketch depth — the depth bound is part of the shape-cache key.
-func TIEStyleEngine(eng *solver.Engine) System {
+// TIEStyle is the monomorphic, recursion-free subtype baseline, running
+// inside eng; see Retypd. Sharing one engine with Retypd is sound even
+// though TIE* truncates sketch depth — the depth bound is part of the
+// shape-cache key.
+func TIEStyle(eng *solver.Engine) System {
 	return System{Name: "TIE*", Run: func(prog *asm.Program, lat *lattice.Lattice) *Outcome {
 		opts := solver.DefaultOptions()
 		opts.KeepIntermediates = false
 		opts.Absint = absint.Options{MonomorphicCalls: true, PolymorphicExternals: true}
 		opts.MaxSketchDepth = 3
 		opts.NoSpecialize = true
-		var res *solver.Result
-		if eng != nil {
-			res = eng.Infer(prog, lat, nil, opts)
-		} else {
-			res = solver.Infer(prog, lat, nil, opts)
-		}
-		return outcomeFromSolver(res, lat)
+		return outcomeFromSolver(eng.Infer(prog, lat, nil, opts), lat)
 	}}
 }
 
 func outcomeFromSolver(res *solver.Result, lat *lattice.Lattice) *Outcome {
 	o := &Outcome{
-		Lat:             lat,
-		Formals:         map[string][]cfg.Loc{},
-		HasOut:          map[string]bool{},
-		BodyDedupHits:   res.BodyDedupHits,
-		BodyDedupMisses: res.BodyDedupMisses,
+		Lat:       lat,
+		Formals:   map[string][]cfg.Loc{},
+		HasOut:    map[string]bool{},
+		MemoStats: res.MemoStats,
 	}
 	for name, pi := range res.Infos {
 		o.Formals[name] = pi.FormalIns

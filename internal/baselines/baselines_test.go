@@ -6,6 +6,7 @@ import (
 	"retypd/internal/asm"
 	"retypd/internal/label"
 	"retypd/internal/lattice"
+	"retypd/internal/solver"
 )
 
 // twoAllocators has two malloc wrappers with different pointee shapes —
@@ -43,7 +44,7 @@ func parse(t *testing.T, src string) *asm.Program {
 func TestSystemsRunAndPopulateOutcome(t *testing.T) {
 	prog := parse(t, twoAllocators)
 	lat := lattice.Default()
-	for _, sys := range []System{Retypd(), TIEStyle(), Unify(), RewardsStyle(0.6)} {
+	for _, sys := range []System{Retypd(solver.NewEngine(0, 0)), TIEStyle(solver.NewEngine(0, 0)), Unify(), RewardsStyle(0.6)} {
 		t.Run(sys.Name, func(t *testing.T) {
 			o := sys.Run(prog, lat)
 			if o.Lat != lat {
@@ -75,7 +76,7 @@ func TestRetypdVsUnifyPolymorphism(t *testing.T) {
 	prog := parse(t, twoAllocators)
 	lat := lattice.Default()
 
-	ret := Retypd().Run(prog, lat)
+	ret := Retypd(solver.NewEngine(0, 0)).Run(prog, lat)
 	listOut := ret.OutSk("alloc_list")
 	pairOut := ret.OutSk("alloc_pair")
 	if listOut == nil || pairOut == nil {
@@ -115,7 +116,7 @@ L:
 endproc
 `)
 	lat := lattice.Default()
-	o := TIEStyle().Run(prog, lat)
+	o := TIEStyle(solver.NewEngine(0, 0)).Run(prog, lat)
 	sk := o.ParamSk("walk", "stack0")
 	if sk == nil {
 		t.Fatal("TIE* produced no parameter sketch")

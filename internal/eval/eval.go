@@ -16,6 +16,7 @@ import (
 	"retypd/internal/lattice"
 	"retypd/internal/metrics"
 	"retypd/internal/sketch"
+	"retypd/internal/solver"
 )
 
 // BenchScore is one benchmark's aggregate under one system.
@@ -24,9 +25,9 @@ type BenchScore struct {
 	Cluster string
 	Insts   int
 	Agg     metrics.Aggregate
-	// BodyDedupHits/Misses carry the solver's per-run whole-body dedup
-	// stats (zero for non-solver systems); RunSuite aggregates them.
-	BodyDedupHits, BodyDedupMisses uint64
+	// MemoStats carries the solver's per-run memo stats (zero for
+	// non-solver systems); RunSuite sums them.
+	solver.MemoStats
 }
 
 // ScoreOutcome pairs the ground truth of bench with the system's
@@ -81,12 +82,11 @@ func RunSystem(sys baselines.System, benches []*corpus.Benchmark, lat *lattice.L
 		}
 		o := sys.Run(prog, lat)
 		out = append(out, BenchScore{
-			Bench:           b.Name,
-			Cluster:         b.Cluster,
-			Insts:           b.Insts,
-			Agg:             ScoreOutcome(o, b),
-			BodyDedupHits:   o.BodyDedupHits,
-			BodyDedupMisses: o.BodyDedupMisses,
+			Bench:     b.Name,
+			Cluster:   b.Cluster,
+			Insts:     b.Insts,
+			Agg:       ScoreOutcome(o, b),
+			MemoStats: o.MemoStats,
 		})
 	}
 	return out

@@ -50,13 +50,9 @@ type SuiteScores struct {
 	// PerSystem maps system name to per-benchmark scores.
 	PerSystem map[string][]BenchScore
 	Order     []string
-	// SchemeCacheHits/Misses and ShapeCacheHits/Misses report the
-	// suite-wide effectiveness of the two shared memo caches.
-	SchemeCacheHits, SchemeCacheMisses uint64
-	ShapeCacheHits, ShapeCacheMisses   uint64
-	// BodyDedupHits/Misses sum the solver runs' whole-body dedup stats
-	// across every benchmark and solver-backed system of the suite.
-	BodyDedupHits, BodyDedupMisses uint64
+	// MemoStats sums the solver runs' per-run memo stats across every
+	// benchmark and solver-backed system of the suite.
+	solver.MemoStats
 }
 
 // RunSuite generates the corpus and scores all systems. One
@@ -74,8 +70,8 @@ func RunSuite(cfg Config) *SuiteScores {
 	// pure cache sharer here, so skip per-run session snapshots.
 	eng.DisableSessionRecording()
 	systems := []baselines.System{
-		baselines.RetypdEngine(eng),
-		baselines.TIEStyleEngine(eng),
+		baselines.Retypd(eng),
+		baselines.TIEStyle(eng),
 		baselines.RewardsStyle(0.6),
 		baselines.Unify(),
 	}
@@ -86,12 +82,9 @@ func RunSuite(cfg Config) *SuiteScores {
 		out.PerSystem[sys.Name] = scores
 		out.Order = append(out.Order, sys.Name)
 		for _, s := range scores {
-			out.BodyDedupHits += s.BodyDedupHits
-			out.BodyDedupMisses += s.BodyDedupMisses
+			out.Add(s.MemoStats)
 		}
 	}
-	out.SchemeCacheHits, out.SchemeCacheMisses = eng.SchemeCache().Stats()
-	out.ShapeCacheHits, out.ShapeCacheMisses = eng.ShapeCache().Stats()
 	return out
 }
 

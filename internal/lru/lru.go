@@ -1,9 +1,11 @@
 // Package lru is the bounded, thread-safe LRU memo underlying the
 // solver's fingerprint-keyed caches (pgraph.SimplifyCache and
 // sketch.ShapeCache). Both caches share the same mechanics — move-to-
-// front on hit, eviction from the back past the capacity bound, and
-// cumulative hit/miss counters — so they share this one implementation
-// and only differ in key and value types.
+// front on hit, eviction from the back past the capacity bound, and a
+// per-lookup Outcome the caller tallies into its own per-run counters —
+// so they share this one implementation and only differ in key and
+// value types. The cache keeps no counters of its own: it is shared by
+// concurrent runs, and global counters would mix their lookups.
 //
 // Two design points are specific to the memo workload:
 //
@@ -58,8 +60,6 @@ type Cache[K comparable, V any] struct {
 	order    *list.List // front = most recently used
 	byHash   map[uint64][]*list.Element
 	inflight map[uint64][]*flight[K, V]
-	hits     uint64
-	misses   uint64
 	// clock, when non-nil, is the shared cross-shard recency clock of
 	// the owning Sharded; every touch stamps the entry with a fresh
 	// tick. Standalone caches leave it nil (zero overhead).
@@ -135,8 +135,24 @@ func (c *Cache[K, V]) addLocked(h uint64, key K, val V) {
 	}
 }
 
+// Outcome classifies one memo lookup for the caller's per-run
+// accounting.
+type Outcome uint8
+
+const (
+	// Bypass: no cache or no usable key; the value was computed without
+	// consulting the memo. Counted neither as a hit nor as a miss.
+	Bypass Outcome = iota
+	// Hit: the value came from a stored entry or from a concurrent
+	// caller's completed computation — the work was saved.
+	Hit
+	// Miss: this caller computed the value, either as the leader of the
+	// flight or because the leader's result was not cacheable.
+	Miss
+)
+
 // Get returns the value stored under key, marking it most recently
-// used. Every call counts as a hit or a miss.
+// used.
 func (c *Cache[K, V]) Get(key K) (V, bool) {
 	h := c.hash(key)
 	c.mu.Lock()
@@ -144,10 +160,8 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 	if el := c.find(h, key); el != nil {
 		c.order.MoveToFront(el)
 		c.touch(el)
-		c.hits++
 		return el.Value.(*entry[K, V]).val, true
 	}
-	c.misses++
 	var zero V
 	return zero, false
 }
@@ -166,52 +180,45 @@ func (c *Cache[K, V]) Add(key K, val V) {
 // compute unlocked; callers that miss on the same key while the
 // computation is in progress wait for it instead of duplicating the
 // work. compute reports whether its result is cacheable: when it
-// returns false nothing is stored and waiters receive ok == false
-// (they fall back to computing privately — by construction that only
-// happens for results that cannot be shared anyway).
+// returns false nothing is stored and waiters receive the zero value
+// with outcome Miss (they fall back to computing privately — by
+// construction that only happens for results that cannot be shared
+// anyway).
 //
-// The returned ok is true when the value came from the cache, from a
-// completed flight, or from this caller's own successful compute.
-// Accounting: a found entry and a successfully served waiter count as
-// hits (the work was saved); a compute leader, and a waiter whose
-// leader's result was uncacheable, count as misses.
-func (c *Cache[K, V]) Do(key K, compute func() (V, bool)) (V, bool) {
+// The outcome is Hit when the value came from a stored entry or from a
+// completed flight (the work was saved), and Miss for the compute
+// leader and for a waiter whose leader's result was uncacheable.
+func (c *Cache[K, V]) Do(key K, compute func() (V, bool)) (V, Outcome) {
 	h := c.hash(key)
 	c.mu.Lock()
 	if el := c.find(h, key); el != nil {
 		c.order.MoveToFront(el)
 		c.touch(el)
-		c.hits++
 		v := el.Value.(*entry[K, V]).val
 		c.mu.Unlock()
-		return v, true
+		return v, Hit
 	}
 	for _, f := range c.inflight[h] {
 		if f.key == key {
 			c.mu.Unlock()
 			<-f.done
-			// Account after the outcome is known: a waiter served by
-			// the leader's stored value is a hit (work saved); a waiter
-			// whose leader produced an uncacheable result recomputes
-			// privately and must count as a miss, or hit rates would
-			// overstate sharing exactly where it fails.
-			c.mu.Lock()
+			// A waiter whose leader produced an uncacheable result
+			// recomputes privately and must count as a miss, or hit
+			// rates would overstate sharing exactly where it fails.
 			if f.ok {
-				c.hits++
-			} else {
-				c.misses++
+				return f.val, Hit
 			}
-			c.mu.Unlock()
-			return f.val, f.ok
+			var zero V
+			return zero, Miss
 		}
 	}
 	f := &flight[K, V]{key: key, done: make(chan struct{})}
 	c.inflight[h] = append(c.inflight[h], f)
-	c.misses++
 	c.mu.Unlock()
 
 	// The deferred cleanup also runs when compute panics, so waiters
-	// are released (with ok == false) instead of blocking forever.
+	// are released (with no value, outcome Miss) instead of blocking
+	// forever.
 	defer func() {
 		c.mu.Lock()
 		chain := c.inflight[h]
@@ -234,7 +241,7 @@ func (c *Cache[K, V]) Do(key K, compute func() (V, bool)) (V, bool) {
 		close(f.done)
 	}()
 	f.val, f.ok = compute()
-	return f.val, f.ok
+	return f.val, Miss
 }
 
 // Entry is one exported key/value pair; see Export.
@@ -261,8 +268,7 @@ func (c *Cache[K, V]) Export() []Entry[K, V] {
 // Import loads entries produced by Export (typically in another
 // process, after the keys and values have crossed a wire decode),
 // preserving their relative recency: entries[0] ends up most recently
-// used. Keys already present keep their existing value; nothing is
-// counted as a hit or a miss. Entries past the capacity bound are
+// used. Keys already present keep their existing value. Entries past the capacity bound are
 // evicted as usual, least recent first.
 func (c *Cache[K, V]) Import(entries []Entry[K, V]) {
 	c.mu.Lock()
@@ -271,13 +277,6 @@ func (c *Cache[K, V]) Import(entries []Entry[K, V]) {
 		e := entries[i]
 		c.addLocked(c.hash(e.Key), e.Key, e.Val)
 	}
-}
-
-// Stats reports cumulative hit/miss counts across all sharers.
-func (c *Cache[K, V]) Stats() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }
 
 // Len reports the current entry count.

@@ -34,8 +34,13 @@ func TestEvictionOrderAndStats(t *testing.T) {
 	if c.Len() != 2 {
 		t.Errorf("Len = %d, want 2", c.Len())
 	}
-	if h, m := c.Stats(); h != 2 || m != 1 {
-		t.Errorf("stats = %d/%d, want 2 hits / 1 miss", h, m)
+	// Do reports each lookup's outcome: a stored entry is a hit, an
+	// evicted one a miss that recomputes.
+	if v, o := c.Do(1, func() (string, bool) { return "x", true }); o != Hit || v != "a" {
+		t.Errorf("Do(1) = %q,%v; want a stored hit", v, o)
+	}
+	if v, o := c.Do(2, func() (string, bool) { return "b2", true }); o != Miss || v != "b2" {
+		t.Errorf("Do(2) = %q,%v; want a computed miss", v, o)
 	}
 }
 
@@ -106,7 +111,7 @@ func TestHashCollisions(t *testing.T) {
 // everyone receives the same value.
 func TestDoSingleFlight(t *testing.T) {
 	c := New[int, int](8, idHash)
-	var computes atomic.Int32
+	var computes, hits, misses atomic.Int32
 	gate := make(chan struct{})
 	const workers = 8
 	var wg sync.WaitGroup
@@ -116,12 +121,17 @@ func TestDoSingleFlight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-gate
-			v, ok := c.Do(5, func() (int, bool) {
+			v, o := c.Do(5, func() (int, bool) {
 				computes.Add(1)
 				return 99, true
 			})
-			if !ok {
-				t.Errorf("worker %d: Do reported no value", i)
+			switch o {
+			case Hit:
+				hits.Add(1)
+			case Miss:
+				misses.Add(1)
+			default:
+				t.Errorf("worker %d: Do reported outcome %v", i, o)
 			}
 			results[i] = v
 		}(i)
@@ -136,8 +146,8 @@ func TestDoSingleFlight(t *testing.T) {
 			t.Errorf("worker %d got %d, want 99", i, v)
 		}
 	}
-	if h, m := c.Stats(); m != 1 || h != workers-1 {
-		t.Errorf("stats = %d hits / %d misses, want %d/1", h, m, workers-1)
+	if h, m := hits.Load(), misses.Load(); m != 1 || h != workers-1 {
+		t.Errorf("outcomes = %d hits / %d misses, want %d/1", h, m, workers-1)
 	}
 }
 
@@ -147,8 +157,8 @@ func TestDoUncacheable(t *testing.T) {
 	c := New[int, int](8, idHash)
 	calls := 0
 	for i := 0; i < 2; i++ {
-		if v, ok := c.Do(1, func() (int, bool) { calls++; return 7, false }); ok || v != 7 {
-			t.Errorf("Do = %d,%v; want 7,false", v, ok)
+		if v, o := c.Do(1, func() (int, bool) { calls++; return 7, false }); o != Miss || v != 7 {
+			t.Errorf("Do = %d,%v; want 7,Miss", v, o)
 		}
 	}
 	if calls != 2 {
@@ -168,14 +178,13 @@ func TestDoPanicReleasesWaiters(t *testing.T) {
 		c.Do(3, func() (int, bool) { panic("boom") })
 	}()
 	// The flight must be cleaned up: a fresh Do computes normally.
-	if v, ok := c.Do(3, func() (int, bool) { return 11, true }); !ok || v != 11 {
-		t.Errorf("Do after panic = %d,%v; want 11,true", v, ok)
+	if v, o := c.Do(3, func() (int, bool) { return 11, true }); o != Miss || v != 11 {
+		t.Errorf("Do after panic = %d,%v; want 11,Miss", v, o)
 	}
 }
 
 // TestExportImport: Export returns entries MRU-first; Import into a
-// fresh cache preserves values and recency (eviction order), without
-// touching the hit/miss counters.
+// fresh cache preserves values and recency (eviction order).
 func TestExportImport(t *testing.T) {
 	c := New[int, string](10, func(k int) uint64 { return uint64(k % 3) }) // force chains
 	for i := 0; i < 5; i++ {
@@ -193,10 +202,6 @@ func TestExportImport(t *testing.T) {
 		t.Fatalf("import past capacity kept %d entries, want 3", c2.Len())
 	}
 	// The 3 most recent (0, 4, 3) survive; 2 and 1 were evicted.
-	hits0, misses0 := c2.Stats()
-	if hits0 != 0 || misses0 != 0 {
-		t.Fatalf("import counted hits/misses: %d/%d", hits0, misses0)
-	}
 	for _, k := range []int{0, 4, 3} {
 		if v, ok := c2.Get(k); !ok || v != string(rune('a'+k)) {
 			t.Fatalf("entry %d missing or wrong after import: %q %v", k, v, ok)

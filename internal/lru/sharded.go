@@ -87,7 +87,7 @@ func (s *Sharded[K, V]) shardFor(h uint64) *Cache[K, V] {
 }
 
 // Get returns the value stored under key, marking it most recently
-// used. Every call counts as a hit or a miss on the key's shard.
+// used.
 func (s *Sharded[K, V]) Get(key K) (V, bool) {
 	return s.shardFor(s.hash(key)).Get(key)
 }
@@ -100,18 +100,8 @@ func (s *Sharded[K, V]) Add(key K, val V) {
 // Do returns the value under key, computing it at most once across
 // concurrent callers. Single-flight coalescing is per-shard (same-key
 // callers always share a shard); see Cache.Do for the semantics.
-func (s *Sharded[K, V]) Do(key K, compute func() (V, bool)) (V, bool) {
+func (s *Sharded[K, V]) Do(key K, compute func() (V, bool)) (V, Outcome) {
 	return s.shardFor(s.hash(key)).Do(key, compute)
-}
-
-// Stats reports cumulative hit/miss counts summed over all shards.
-func (s *Sharded[K, V]) Stats() (hits, misses uint64) {
-	for _, sh := range s.shards {
-		h, m := sh.Stats()
-		hits += h
-		misses += m
-	}
-	return hits, misses
 }
 
 // Len reports the current entry count summed over all shards.
@@ -174,7 +164,7 @@ func (s *Sharded[K, V]) Export() []Entry[K, V] {
 // Import loads entries produced by Export (of a Sharded with any shard
 // count, or of a plain Cache), preserving their relative recency:
 // entries[0] ends up most recently used. Keys already present keep
-// their existing value; nothing is counted as a hit or a miss.
+// their existing value.
 func (s *Sharded[K, V]) Import(entries []Entry[K, V]) {
 	for i := len(entries) - 1; i >= 0; i-- {
 		e := entries[i]

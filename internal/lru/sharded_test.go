@@ -15,13 +15,13 @@ import (
 type cacheSurface interface {
 	Get(int) (int, bool)
 	Add(int, int)
-	Do(int, func() (int, bool)) (int, bool)
+	Do(int, func() (int, bool)) (int, Outcome)
 	Export() []Entry[int, int]
-	Stats() (uint64, uint64)
 	Len() int
 }
 
-func applyOps(c cacheSurface, seed int64, n, keyspace int) {
+// applyOps returns the Do lookups' hit and miss counts.
+func applyOps(c cacheSurface, seed int64, n, keyspace int) (hits, misses int) {
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
 		k := rng.Intn(keyspace)
@@ -31,9 +31,14 @@ func applyOps(c cacheSurface, seed int64, n, keyspace int) {
 		case 1:
 			c.Get(k)
 		default:
-			c.Do(k, func() (int, bool) { return k * 10, true })
+			if _, o := c.Do(k, func() (int, bool) { return k * 10, true }); o == Hit {
+				hits++
+			} else {
+				misses++
+			}
 		}
 	}
+	return hits, misses
 }
 
 func entriesEqual(a, b []Entry[int, int]) bool {
@@ -58,16 +63,13 @@ func TestShardedExportMatchesUnsharded(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			flat := New[int, int](1024, idHash)
 			sh := NewSharded[int, int](1024, shards, idHash)
-			applyOps(flat, 7, 4000, 200)
-			applyOps(sh, 7, 4000, 200)
+			fh, fm := applyOps(flat, 7, 4000, 200)
+			sh2, sm := applyOps(sh, 7, 4000, 200)
 			if !entriesEqual(flat.Export(), sh.Export()) {
 				t.Errorf("sharded(%d) export diverges from unsharded export", shards)
 			}
-			if fh, fm := flat.Stats(); fh != 0 || fm != 0 {
-				sh2, sm := sh.Stats()
-				if fh != sh2 || fm != sm {
-					t.Errorf("stats diverge: flat %d/%d sharded %d/%d", fh, fm, sh2, sm)
-				}
+			if fh != sh2 || fm != sm {
+				t.Errorf("outcomes diverge: flat %d/%d sharded %d/%d", fh, fm, sh2, sm)
 			}
 		})
 	}
@@ -105,9 +107,6 @@ func TestShardedImportRoundTrip(t *testing.T) {
 		if !entriesEqual(exp, dst.Export()) {
 			t.Errorf("import into %d shards did not preserve entries+recency", shards)
 		}
-		if h, m := dst.Stats(); h != 0 || m != 0 {
-			t.Errorf("Import counted hits/misses: %d/%d", h, m)
-		}
 	}
 
 	// And into a plain unsharded cache (old-format consumers).
@@ -124,7 +123,7 @@ func TestShardedImportRoundTrip(t *testing.T) {
 func TestShardedSingleFlightPerShard(t *testing.T) {
 	sh := NewSharded[int, int](64, 8, idHash)
 	const callers = 16
-	var computes atomic.Int64
+	var computes, hits, misses atomic.Int64
 	gate := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < callers; i++ {
@@ -132,12 +131,17 @@ func TestShardedSingleFlightPerShard(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-gate
-			v, ok := sh.Do(42, func() (int, bool) {
+			v, o := sh.Do(42, func() (int, bool) {
 				computes.Add(1)
 				return 420, true
 			})
-			if !ok || v != 420 {
-				t.Errorf("Do = %d,%v", v, ok)
+			if v != 420 {
+				t.Errorf("Do = %d,%v", v, o)
+			}
+			if o == Hit {
+				hits.Add(1)
+			} else {
+				misses.Add(1)
 			}
 		}()
 	}
@@ -146,9 +150,8 @@ func TestShardedSingleFlightPerShard(t *testing.T) {
 	if n := computes.Load(); n != 1 {
 		t.Errorf("compute ran %d times, want 1 (single flight)", n)
 	}
-	h, m := sh.Stats()
-	if m != 1 || h != callers-1 {
-		t.Errorf("stats = %d hits / %d misses, want %d/1", h, m, callers-1)
+	if h, m := hits.Load(), misses.Load(); m != 1 || h != callers-1 {
+		t.Errorf("outcomes = %d hits / %d misses, want %d/1", h, m, callers-1)
 	}
 }
 
@@ -176,8 +179,8 @@ func TestShardedDistinctKeysDoNotSerialize(t *testing.T) {
 	}()
 	<-started
 	// While k1's compute is parked, k2 must complete.
-	if v, ok := sh.Do(k2, func() (int, bool) { return 2, true }); !ok || v != 2 {
-		t.Fatalf("Do(k2) = %d,%v while k1 in flight", v, ok)
+	if v, o := sh.Do(k2, func() (int, bool) { return 2, true }); o != Miss || v != 2 {
+		t.Fatalf("Do(k2) = %d,%v while k1 in flight", v, o)
 	}
 	close(release)
 	<-done
@@ -276,7 +279,7 @@ func BenchmarkShardedContention(b *testing.B) {
 
 // TestShardedDoLeaderPanicReleasesWaiters: a leader whose compute
 // panics inside a sharded cache must release every concurrent waiter on
-// the same key (with ok == false), re-panic to its own caller, and
+// the same key (with outcome Miss), re-panic to its own caller, and
 // leave the shard's single-flight table clean so a later Do computes
 // fresh. A regression here strands solver workers forever on the memo
 // lock the first time a contained task fault hits a cache compute.
@@ -312,9 +315,9 @@ func TestShardedDoLeaderPanicReleasesWaiters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Waiters must return, not hang. ok may be false (released by
-			// the panicking leader) or true (this goroutine led its own
-			// flight after the chain was cleaned).
+			// Waiters must return, not hang: released by the panicking
+			// leader with no value, or as leaders of their own flight
+			// after the chain was cleaned.
 			sh.Do(7, func() (int, bool) { return 70, true })
 			released.Add(1)
 		}()
@@ -325,8 +328,8 @@ func TestShardedDoLeaderPanicReleasesWaiters(t *testing.T) {
 		t.Fatalf("only %d/%d waiters returned", released.Load(), waiters)
 	}
 	// The flight table is clean: a fresh Do computes and caches normally.
-	if v, ok := sh.Do(7, func() (int, bool) { return 71, true }); v != 70 && (!ok || v != 71) {
-		t.Errorf("post-panic Do = %d,%v; want a normal compute", v, ok)
+	if v, o := sh.Do(7, func() (int, bool) { return 71, true }); !(v == 70 && o == Hit) && !(v == 71 && o == Miss) {
+		t.Errorf("post-panic Do = %d,%v; want a normal compute", v, o)
 	}
 	if v, ok := sh.Get(7); !ok || (v != 70 && v != 71) {
 		t.Errorf("post-panic Get = %d,%v; want cached value", v, ok)

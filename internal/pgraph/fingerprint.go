@@ -268,9 +268,9 @@ const DefaultSimplifyCacheCap = 4096
 // under the same Λ. Callers therefore should share one cache as widely
 // as possible (e.g. one cache for a whole evaluation suite) to
 // maximize cross-program reuse of duplicate leaf procedures; the only
-// cost of sharing is LRU pressure on the capacity bound. Hit/miss
-// counters are cumulative across all sharers; callers wanting per-run
-// numbers snapshot Stats before and after (as solver.Infer does).
+// cost of sharing is LRU pressure on the capacity bound. The cache
+// keeps no counters: Simplify reports each lookup's outcome, and
+// callers tally their own per-run numbers.
 //
 // The underlying store is sharded by Hash64 so concurrent workers on
 // different keys do not convoy on one mutex; the shard count is an
@@ -289,48 +289,47 @@ func NewSimplifyCache(capacity int) *SimplifyCache {
 	return &SimplifyCache{lru: lru.NewSharded[Key, *SimplifyResult](capacity, 0, Key.Hash64)}
 }
 
-// Stats reports cumulative hit/miss counts.
-func (c *SimplifyCache) Stats() (hits, misses uint64) { return c.lru.Stats() }
-
 // Len reports the current entry count.
 func (c *SimplifyCache) Len() int { return c.lru.Len() }
 
 // Simplify returns the simplification of the (fingerprinted) constraint
-// set relative to root, consulting the memo first. build must return
-// the saturated graph of the fingerprinted set; it is only invoked on a
-// cache miss (and may be shared across roots of one SCC). A nil cache
-// degrades to calling build().Simplify directly.
+// set relative to root, consulting the memo first, and the lookup's
+// outcome for the caller's per-run accounting. build must return the
+// saturated graph of the fingerprinted set; it is only invoked on a
+// cache miss (and may be shared across roots of one SCC). A nil cache,
+// a nil fingerprint or a root without a canonical key degrade to
+// calling build().Simplify directly (outcome lru.Bypass).
 //
 // Misses are single-flight: when several workers miss on the same key
 // concurrently (duplicate procedures scheduled onto sibling workers),
 // one computes and the others wait for its canonical entry instead of
 // re-running Build+Saturate+Simplify.
-func (c *SimplifyCache) Simplify(fp *FP, root constraints.Var, build func() *Graph) *SimplifyResult {
+func (c *SimplifyCache) Simplify(fp *FP, root constraints.Var, build func() *Graph) (*SimplifyResult, lru.Outcome) {
 	interesting := func(v constraints.Var) bool { return v == root }
 	if c == nil || fp == nil {
-		return build().Simplify(interesting)
+		return build().Simplify(interesting), lru.Bypass
 	}
 	key, ok := fp.KeyFor(root)
 	if !ok {
-		return build().Simplify(interesting)
+		return build().Simplify(interesting), lru.Bypass
 	}
 	var local *SimplifyResult
-	canon, ok := c.lru.Do(key, func() (*SimplifyResult, bool) {
+	canon, out := c.lru.Do(key, func() (*SimplifyResult, bool) {
 		local = build().Simplify(interesting)
 		return canonicalize(local, root, fp)
 	})
 	if local != nil {
 		// This caller led the computation: hand back its own (already
 		// local-named) result, whether or not it was cacheable.
-		return local
+		return local, out
 	}
-	if ok {
+	if out == lru.Hit {
 		canonRoot, _ := fp.canonicalRoot(root)
-		return rehydrate(canon, canonRoot, root)
+		return rehydrate(canon, canonRoot, root), out
 	}
 	// A concurrent leader's result was not shareable (canonicalize
 	// refused it); compute privately.
-	return build().Simplify(interesting)
+	return build().Simplify(interesting), out
 }
 
 // canonicalize rewrites res with root renamed to its canonical name.

@@ -7,6 +7,7 @@ import (
 	"retypd/internal/constraints"
 	"retypd/internal/intern"
 	"retypd/internal/lattice"
+	"retypd/internal/lru"
 )
 
 // leafSet builds the constraint set of a toy leaf procedure over base
@@ -104,7 +105,7 @@ func TestSimplifyCacheHitEqualsFreshSimplify(t *testing.T) {
 	lat := lattice.Default()
 	cache := NewSimplifyCache(0)
 
-	simplify := func(name string) *SimplifyResult {
+	simplify := func(name string) (*SimplifyResult, lru.Outcome) {
 		cs := leafSet(name)
 		fp := Fingerprint(cs, lat)
 		var g *Graph
@@ -118,10 +119,10 @@ func TestSimplifyCacheHitEqualsFreshSimplify(t *testing.T) {
 		return cache.Simplify(fp, constraints.Var(name), build)
 	}
 
-	a := simplify("procA")
-	b := simplify("procB") // isomorphic: must be a hit
-	if hits, _ := cache.Stats(); hits != 1 {
-		t.Fatalf("expected 1 hit, stats: hits=%d", hits)
+	a, oa := simplify("procA")
+	b, ob := simplify("procB") // isomorphic: must be a hit
+	if oa != lru.Miss || ob != lru.Hit {
+		t.Fatalf("expected a miss then a hit, got %v, %v", oa, ob)
 	}
 
 	// Fresh, uncached simplification of procB's set.
@@ -151,6 +152,7 @@ func TestSimplifyCacheHitEqualsFreshSimplify(t *testing.T) {
 func TestSimplifyCacheLRUEviction(t *testing.T) {
 	lat := lattice.Default()
 	cache := NewSimplifyCache(2)
+	misses := 0
 	for i := 0; i < 5; i++ {
 		name := fmt.Sprintf("p%d", i)
 		// Vary structure per i so every entry is a distinct key.
@@ -159,17 +161,19 @@ func TestSimplifyCacheLRUEviction(t *testing.T) {
 			%[1]s!v.load.σ32@%[2]d <= int
 		`, name, 4*i))
 		fp := Fingerprint(cs, lat)
-		cache.Simplify(fp, constraints.Var(name), func() *Graph {
+		if _, o := cache.Simplify(fp, constraints.Var(name), func() *Graph {
 			g := Build(cs, lat)
 			g.Saturate()
 			return g
-		})
+		}); o == lru.Miss {
+			misses++
+		}
 	}
 	if n := cache.Len(); n != 2 {
 		t.Errorf("cache holds %d entries, capacity 2", n)
 	}
-	if hits, misses := cache.Stats(); hits != 0 || misses != 5 {
-		t.Errorf("expected 0 hits / 5 misses, got %d/%d", hits, misses)
+	if misses != 5 {
+		t.Errorf("expected 5 misses, got %d", misses)
 	}
 }
 
@@ -179,13 +183,16 @@ func TestNilCacheFallsBack(t *testing.T) {
 	cs := leafSet("procA")
 	fp := Fingerprint(cs, lat)
 	var c *SimplifyCache
-	res := c.Simplify(fp, "procA", func() *Graph {
+	res, o := c.Simplify(fp, "procA", func() *Graph {
 		g := Build(cs, lat)
 		g.Saturate()
 		return g
 	})
 	if res == nil || res.Constraints.Len() == 0 {
 		t.Fatal("nil cache lost the simplification result")
+	}
+	if o != lru.Bypass {
+		t.Errorf("nil cache reported outcome %v, want Bypass", o)
 	}
 }
 

@@ -50,9 +50,9 @@ func (k shapeKey) hash64() uint64 {
 // isomorphic constraint set solved under the same Λ and depth. Entries
 // are sealed (Sketch.Seal) before they are stored, so concurrent
 // sharers can only read them; deriving mutable views (Descend, Meet,
-// Join, WithRootVariance) copies. Hit/miss counters are cumulative
-// across all sharers; callers wanting per-run numbers snapshot Stats
-// before and after (as solver.Infer does).
+// Join, WithRootVariance) copies. The cache keeps no counters:
+// SketchFor reports each lookup's outcome, and callers tally their own
+// per-run numbers.
 type ShapeCache struct {
 	// Sharded by hash64 so concurrent F.2 workers on different keys do
 	// not convoy on one mutex; sharding never reaches a key or a wire
@@ -69,29 +69,27 @@ func NewShapeCache(capacity int) *ShapeCache {
 	return &ShapeCache{lru: lru.NewSharded[shapeKey, *Sketch](capacity, 0, shapeKey.hash64)}
 }
 
-// Stats reports cumulative hit/miss counts.
-func (c *ShapeCache) Stats() (hits, misses uint64) { return c.lru.Stats() }
-
 // Len reports the current entry count.
 func (c *ShapeCache) Len() int { return c.lru.Len() }
 
 // SketchFor returns the decorated sketch of v (extracted at depth
 // maxDepth) for the fingerprinted constraint set, consulting the memo
-// first. build must compute the decorated sketch of its argument from
+// first, and the lookup's outcome for the caller's per-run accounting.
+// build must compute the decorated sketch of its argument from
 // scratch (shape quotient + decoration); it is only invoked on a miss
 // — taking the variable as a parameter lets callers reuse one build
 // closure across every lookup of a procedure instead of allocating one
 // per call — and its result is sealed before being stored and
 // returned. A nil cache, a nil or unusable fingerprint, or a variable
 // outside the fingerprint's rename map all degrade to calling build(v)
-// directly (unsealed, uncached).
-func (c *ShapeCache) SketchFor(fp *pgraph.FP, v constraints.Var, maxDepth int, build func(constraints.Var) *Sketch) *Sketch {
+// directly (unsealed, uncached; outcome lru.Bypass).
+func (c *ShapeCache) SketchFor(fp *pgraph.FP, v constraints.Var, maxDepth int, build func(constraints.Var) *Sketch) (*Sketch, lru.Outcome) {
 	if c == nil || fp == nil {
-		return build(v)
+		return build(v), lru.Bypass
 	}
 	pk, ok := fp.KeyFor(v)
 	if !ok {
-		return build(v)
+		return build(v), lru.Bypass
 	}
 	if maxDepth < 0 {
 		maxDepth = -1 // every negative bound means "unbounded": one key
@@ -100,8 +98,7 @@ func (c *ShapeCache) SketchFor(fp *pgraph.FP, v constraints.Var, maxDepth int, b
 	// Single-flight: concurrent workers missing on the same key wait
 	// for the first one's sealed sketch instead of re-running the shape
 	// quotient and decoration.
-	sk, _ := c.lru.Do(key, func() (*Sketch, bool) {
+	return c.lru.Do(key, func() (*Sketch, bool) {
 		return build(v).Seal(), true
 	})
-	return sk
 }

@@ -6,6 +6,7 @@ import (
 	"retypd/internal/constraints"
 	"retypd/internal/label"
 	"retypd/internal/lattice"
+	"retypd/internal/lru"
 	"retypd/internal/pgraph"
 )
 
@@ -126,8 +127,8 @@ func TestShapeCacheServesSealedIdenticalSketches(t *testing.T) {
 	}
 	plain := build("F").String()
 
-	sk1 := cache.SketchFor(fp, "F", -1, build)
-	sk2 := cache.SketchFor(fp, "F", -1, func(constraints.Var) *Sketch {
+	sk1, o1 := cache.SketchFor(fp, "F", -1, build)
+	sk2, o2 := cache.SketchFor(fp, "F", -1, func(constraints.Var) *Sketch {
 		t.Fatal("build invoked on what should be a hit")
 		return nil
 	})
@@ -140,23 +141,26 @@ func TestShapeCacheServesSealedIdenticalSketches(t *testing.T) {
 	if sk1.String() != plain {
 		t.Errorf("cached sketch diverges from direct solve:\n%s\nvs\n%s", sk1.String(), plain)
 	}
-	if h, m := cache.Stats(); h != 1 || m != 1 {
-		t.Errorf("stats = %d hits / %d misses, want 1/1", h, m)
+	if o1 != lru.Miss || o2 != lru.Hit {
+		t.Errorf("outcomes = %v, %v; want a miss then a hit", o1, o2)
 	}
 
 	// A different depth bound is a different entry.
-	sk3 := cache.SketchFor(fp, "F", 2, build)
+	sk3, o3 := cache.SketchFor(fp, "F", 2, build)
 	if sk3 == sk1 {
 		t.Error("depth bound must partition the cache key")
 	}
-	if h, m := cache.Stats(); h != 1 || m != 2 {
-		t.Errorf("stats after depth miss = %d/%d, want 1/2", h, m)
+	if o3 != lru.Miss {
+		t.Errorf("depth-bound lookup outcome = %v, want a miss", o3)
 	}
 
 	// Variables outside the rename map degrade to direct building.
-	direct := cache.SketchFor(fp, "nosuchvar", -1, func(constraints.Var) *Sketch { return NewTop(lat) })
+	direct, od := cache.SketchFor(fp, "nosuchvar", -1, func(constraints.Var) *Sketch { return NewTop(lat) })
 	if direct.Sealed() {
 		t.Error("fallback build must not be sealed or cached")
+	}
+	if od != lru.Bypass {
+		t.Errorf("fallback outcome = %v, want Bypass", od)
 	}
 }
 

@@ -91,7 +91,7 @@ func TestShapeCacheWireRoundTrip(t *testing.T) {
 		NewDecorator(g).Decorate(sk, v)
 		return sk
 	}
-	want := c.SketchFor(fp, "f", -1, build)
+	want, _ := c.SketchFor(fp, "f", -1, build)
 
 	enc := c.AppendWire(nil)
 	c2 := NewShapeCache(0)
@@ -105,7 +105,7 @@ func TestShapeCacheWireRoundTrip(t *testing.T) {
 	if re := c2.AppendWire(nil); !bytes.Equal(re, enc) {
 		t.Fatal("export→import→export not byte-stable")
 	}
-	got := c2.SketchFor(fp, "f", -1, func(constraints.Var) *Sketch {
+	got, _ := c2.SketchFor(fp, "f", -1, func(constraints.Var) *Sketch {
 		t.Fatal("loaded shape cache missed: build ran")
 		return nil
 	})

@@ -49,8 +49,9 @@ type dedupState struct {
 	isConst func(constraints.Var) bool
 	keep    bool // Options.KeepIntermediates: members must also translate raw constraint sets
 
-	// cache is the engine-scoped class table (run-private for one-shot
-	// Infer calls). Its mutex guards class structure; everything below
+	// cache is the engine-scoped class table (a one-shot Infer call's
+	// engine lives only as long as the call). Its mutex guards class
+	// structure; everything below
 	// is this run's private view, written only in the sequential
 	// classification pre-pass.
 	cache *bodyCache

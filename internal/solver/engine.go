@@ -18,19 +18,20 @@ import (
 	"retypd/internal/summaries"
 )
 
-// Engine is a long-lived analysis session: it owns the whole memo stack
-// (the scheme-simplification and shape caches shared by every run, plus
-// the per-run body-dedup layer the pipeline builds itself) and the
-// session state incremental re-analysis diffs against. Where a plain
-// Infer call is one-shot — private caches, nothing retained — an Engine
-// is the unit a service keeps warm: run after run shares the caches,
+// Engine is the only owner of the memo stack and the only way into the
+// pipeline: the scheme-simplification and shape caches and the body-class
+// table, shared by every run through it, plus the session state
+// incremental re-analysis diffs against. The package-level Infer and
+// InferContext are one-shot wrappers over a fresh, session-less Engine;
+// a service keeps one warm instead: run after run shares the memos,
 // Reanalyze replays everything a small edit did not touch, and
-// SaveCache/LoadCache move the cache stack across process restarts.
+// SaveCache/LoadCache move the memo stack across process restarts.
 //
 // Methods are safe for concurrent use. Concurrent Infer calls share the
 // caches freely (their keys are canonical; see the cache sharing
-// contracts); session recording is last-writer-wins, and Reanalyze
-// diffs against the most recently recorded session.
+// contracts) and each reports only its own memo lookups (MemoStats);
+// session recording is last-writer-wins, and Reanalyze diffs against
+// the most recently recorded session.
 type Engine struct {
 	schemes *pgraph.SimplifyCache
 	shapes  *sketch.ShapeCache
@@ -58,12 +59,11 @@ func NewEngine(schemeCap, shapeCap int) *Engine {
 	}
 }
 
-// SchemeCache exposes the engine's scheme-simplification memo
-// (observability: Stats/Len).
-func (e *Engine) SchemeCache() *pgraph.SimplifyCache { return e.schemes }
-
-// ShapeCache exposes the engine's phase-2 shape memo.
-func (e *Engine) ShapeCache() *sketch.ShapeCache { return e.shapes }
+// CacheLen reports the current entry counts of the scheme and shape
+// memos (observability).
+func (e *Engine) CacheLen() (schemeEntries, shapeEntries int) {
+	return e.schemes.Len(), e.shapes.Len()
+}
 
 // DisableSessionRecording turns the engine into a pure cache sharer:
 // Infer skips the session snapshot (the whole-program fingerprint pass
@@ -164,18 +164,8 @@ func optsCompatible(a, b Options) bool {
 		a.KeepIntermediates == b.KeepIntermediates
 }
 
-// withEngineCaches forces the engine's caches into opts (the deprecated
-// per-call cache knobs are superseded; the No* escape hatches keep
-// working for baseline measurements).
-func (e *Engine) withEngineCaches(opts Options) Options {
-	opts.SchemeCache = e.schemes
-	opts.ShapeCache = e.shapes
-	opts.bodyCache = e.bodies
-	return opts
-}
-
-// Infer runs the full pipeline with the engine's caches and records the
-// run as the engine's current session. It cannot be cancelled; a
+// Infer runs the full pipeline with the engine's memo stack and records
+// the run as the engine's current session. It cannot be cancelled; a
 // contained task panic (*AnalysisError) or an admission rejection
 // (*LimitError) is re-raised. Services use InferContext.
 func (e *Engine) Infer(prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts Options) *Result {
@@ -207,9 +197,8 @@ func (e *Engine) InferContext(ctx context.Context, prog *asm.Program, lat *latti
 	if sums == nil {
 		sums = summaries.Default()
 	}
-	opts = e.withEngineCaches(opts)
 	opts.ctx = ctx
-	res, art, err := infer(prog, lat, sums, opts, nil, nil, nil)
+	res, art, err := e.infer(prog, lat, sums, opts, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +250,6 @@ func (e *Engine) ReanalyzeContext(ctx context.Context, prog *asm.Program, lat *l
 	if err := admit(prog, opts); err != nil {
 		return nil, err
 	}
-	opts = e.withEngineCaches(opts)
 	opts.ctx = ctx
 
 	// Rebuild the program analyses in parallel, rebasing every unchanged
@@ -411,7 +399,7 @@ func (e *Engine) ReanalyzeContext(ctx context.Context, prog *asm.Program, lat *l
 		}
 	}
 
-	res, art, err := infer(prog, lat, sums, opts, infos, cg, &incrementalPlan{dirty: dirty, replay: replay})
+	res, art, err := e.infer(prog, lat, sums, opts, infos, cg, &incrementalPlan{dirty: dirty, replay: replay})
 	if err != nil {
 		return nil, err
 	}

@@ -1,10 +1,13 @@
 package solver
 
 import (
+	"context"
+	"sync"
 	"testing"
 
 	"retypd/internal/asm"
 	"retypd/internal/cfg"
+	"retypd/internal/conc"
 	"retypd/internal/corpus"
 	"retypd/internal/lattice"
 	"retypd/internal/pgraph"
@@ -91,47 +94,54 @@ func TestInferDeterministic(t *testing.T) {
 	}
 }
 
-// TestSchemeCacheShared: a caller-provided cache is consulted across
-// Infer calls — the second run over the same program must be nearly
-// all hits.
+// sharedMemoOptions isolates the scheme and shape memos for the
+// engine-sharing tests below: with body dedup on, a second run on the
+// same engine is served from the body-class table and barely consults
+// the two memos at all.
+func sharedMemoOptions() Options {
+	opts := DefaultOptions()
+	opts.NoBodyDedup = true
+	return opts
+}
+
+// TestSchemeCacheShared: an engine's scheme memo is consulted across
+// its runs — the second run over the same program must be nearly all
+// hits.
 func TestSchemeCacheShared(t *testing.T) {
 	prog := parallelProg(t)
 	lat := lattice.Default()
-	cache := pgraph.NewSimplifyCache(0)
+	eng := NewEngine(0, 0)
 
-	opts := DefaultOptions()
+	opts := sharedMemoOptions()
 	opts.KeepIntermediates = false
-	opts.SchemeCache = cache
 
-	r1 := Infer(prog, lat, nil, opts)
-	h1, m1 := cache.Stats()
-	r2 := Infer(prog, lat, nil, opts)
-	h2, _ := cache.Stats()
+	r1 := eng.Infer(prog, lat, nil, opts)
+	r2 := eng.Infer(prog, lat, nil, opts)
 
-	if h2 == h1 {
-		t.Errorf("second run over the same program produced no cache hits (hits %d→%d, misses after run1 %d)", h1, h2, m1)
+	if r2.SchemeCacheHits == 0 {
+		t.Errorf("second run over the same program produced no cache hits (misses run1 %d, run2 %d)",
+			r1.SchemeCacheMisses, r2.SchemeCacheMisses)
 	}
 	if r1.DumpSchemes() != r2.DumpSchemes() {
 		t.Error("shared cache changed inferred schemes between runs")
 	}
 }
 
-// TestNoSchemeCacheWinsOverProvidedCache: NoSchemeCache must disable
-// memoization even when a shared cache was handed in — uncached
-// baseline measurements depend on it.
-func TestNoSchemeCacheWinsOverProvidedCache(t *testing.T) {
+// TestNoSchemeCacheLeavesEngineMemoUntouched: NoSchemeCache must keep a
+// run away from its engine's scheme memo — uncached baseline
+// measurements depend on it.
+func TestNoSchemeCacheLeavesEngineMemoUntouched(t *testing.T) {
 	prog := parallelProg(t)
 	lat := lattice.Default()
-	cache := pgraph.NewSimplifyCache(0)
+	eng := NewEngine(0, 0)
 
 	opts := DefaultOptions()
 	opts.KeepIntermediates = false
-	opts.SchemeCache = cache
 	opts.NoSchemeCache = true
-	res := Infer(prog, lat, nil, opts)
+	res := eng.Infer(prog, lat, nil, opts)
 
-	if h, m := cache.Stats(); h != 0 || m != 0 {
-		t.Errorf("provided cache was consulted despite NoSchemeCache (hits=%d misses=%d)", h, m)
+	if n, _ := eng.CacheLen(); n != 0 {
+		t.Errorf("engine scheme memo holds %d entries despite NoSchemeCache", n)
 	}
 	if res.SchemeCacheHits != 0 || res.SchemeCacheMisses != 0 {
 		t.Errorf("result reports cache activity despite NoSchemeCache (%d/%d)",
@@ -151,12 +161,11 @@ func TestShapeCacheGoldenOnOff(t *testing.T) {
 	off.NoShapeCache = true
 	want := dump(Infer(prog, lat, nil, off))
 
-	cache := sketch.NewShapeCache(0)
+	eng := NewEngine(0, 0)
 	for run := 0; run < 2; run++ {
-		on := DefaultOptions()
+		on := sharedMemoOptions()
 		on.Workers = 2
-		on.ShapeCache = cache
-		res := Infer(prog, lat, nil, on)
+		res := eng.Infer(prog, lat, nil, on)
 		if got := dump(res); got != want {
 			t.Fatalf("run %d: shape cache changed output (len %d vs %d)", run, len(got), len(want))
 		}
@@ -166,19 +175,18 @@ func TestShapeCacheGoldenOnOff(t *testing.T) {
 	}
 }
 
-// TestShapeCacheDeterministic runs the pipeline 20× with one shared
-// shape memo across mixed worker counts: every run is served an
-// increasing mix of cached sketches and must stay byte-identical.
+// TestShapeCacheDeterministic runs the pipeline 20× on one engine across
+// mixed worker counts: every run is served an increasing mix of cached
+// sketches and must stay byte-identical.
 func TestShapeCacheDeterministic(t *testing.T) {
 	prog := parallelProg(t)
 	lat := lattice.Default()
-	cache := sketch.NewShapeCache(0)
+	eng := NewEngine(0, 0)
 	var want string
 	for i := 0; i < 20; i++ {
-		opts := DefaultOptions()
+		opts := sharedMemoOptions()
 		opts.Workers = 1 + i%4
-		opts.ShapeCache = cache
-		got := dump(Infer(prog, lat, nil, opts))
+		got := dump(eng.Infer(prog, lat, nil, opts))
 		if i == 0 {
 			want = got
 			continue
@@ -189,20 +197,19 @@ func TestShapeCacheDeterministic(t *testing.T) {
 	}
 }
 
-// TestShapeCacheShared: a caller-provided shape memo is consulted
-// across Infer calls — the second run over the same program must be
-// nearly all hits, skipping Build+Saturate+shape inference.
+// TestShapeCacheShared: an engine's shape memo is consulted across its
+// runs — the second run over the same program must be all hits,
+// skipping Build+Saturate+shape inference.
 func TestShapeCacheShared(t *testing.T) {
 	prog := parallelProg(t)
 	lat := lattice.Default()
-	cache := sketch.NewShapeCache(0)
+	eng := NewEngine(0, 0)
 
-	opts := DefaultOptions()
+	opts := sharedMemoOptions()
 	opts.KeepIntermediates = false
-	opts.ShapeCache = cache
 
-	r1 := Infer(prog, lat, nil, opts)
-	r2 := Infer(prog, lat, nil, opts)
+	r1 := eng.Infer(prog, lat, nil, opts)
+	r2 := eng.Infer(prog, lat, nil, opts)
 	if r1.ShapeCacheHits+r1.ShapeCacheMisses == 0 {
 		t.Fatal("first run never consulted the shape cache")
 	}
@@ -221,11 +228,8 @@ func TestShapeCacheShared(t *testing.T) {
 func TestShapeCacheServedSketchImmutable(t *testing.T) {
 	prog := parallelProg(t)
 	lat := lattice.Default()
-	cache := sketch.NewShapeCache(0)
 
-	opts := DefaultOptions()
-	opts.ShapeCache = cache
-	res := Infer(prog, lat, nil, opts)
+	res := Infer(prog, lat, nil, DefaultOptions())
 	if res.ShapeCacheHits == 0 {
 		t.Fatal("corpus produced no shape-cache hits; guard test needs served sketches")
 	}
@@ -256,25 +260,26 @@ func TestShapeCacheServedSketchImmutable(t *testing.T) {
 	}()
 }
 
-// TestNoShapeCacheWinsOverProvidedCache: NoShapeCache must disable
-// memoization even when a shared cache was handed in.
-func TestNoShapeCacheWinsOverProvidedCache(t *testing.T) {
+// TestNoShapeCacheLeavesEngineMemoUntouched: NoShapeCache must keep a
+// run away from its engine's shape memo.
+func TestNoShapeCacheLeavesEngineMemoUntouched(t *testing.T) {
 	prog := parallelProg(t)
 	lat := lattice.Default()
-	cache := sketch.NewShapeCache(0)
+	eng := NewEngine(0, 0)
+	// Session recording seals the recorded sketches too.
+	eng.DisableSessionRecording()
 
 	opts := DefaultOptions()
 	opts.KeepIntermediates = false
-	opts.ShapeCache = cache
 	opts.NoShapeCache = true
 	// Body dedup also seals the sketches it shares across class
 	// members; turn it off so the sealed check below isolates the shape
 	// cache.
 	opts.NoBodyDedup = true
-	res := Infer(prog, lat, nil, opts)
+	res := eng.Infer(prog, lat, nil, opts)
 
-	if h, m := cache.Stats(); h != 0 || m != 0 {
-		t.Errorf("provided cache was consulted despite NoShapeCache (hits=%d misses=%d)", h, m)
+	if _, n := eng.CacheLen(); n != 0 {
+		t.Errorf("engine shape memo holds %d entries despite NoShapeCache", n)
 	}
 	if res.ShapeCacheHits != 0 || res.ShapeCacheMisses != 0 {
 		t.Errorf("result reports cache activity despite NoShapeCache (%d/%d)",
@@ -282,6 +287,60 @@ func TestNoShapeCacheWinsOverProvidedCache(t *testing.T) {
 	}
 	if pr := res.Procs[res.SCCs[0][0]]; pr.Sketch != nil && pr.Sketch.Sealed() {
 		t.Error("uncached run produced sealed sketches")
+	}
+}
+
+// TestMemoStatsPerRun: the scheme and shape counts of a Result are that
+// run's own lookups. Two runs of one program held together mid-flight
+// on one engine must each report exactly the lookups of a solo run,
+// never the other run's.
+func TestMemoStatsPerRun(t *testing.T) {
+	prog := parallelProg(t)
+	lat := lattice.Default()
+	// Body-class serves skip memo lookups, and which run files a class
+	// first depends on timing; without the layer the lookup count of a
+	// run is fixed.
+	opts := DefaultOptions()
+	opts.NoBodyDedup = true
+	opts.Workers = 2
+	solo := Infer(prog, lat, nil, opts)
+	wantScheme := solo.SchemeCacheHits + solo.SchemeCacheMisses
+	wantShape := solo.ShapeCacheHits + solo.ShapeCacheMisses
+	if wantScheme == 0 || wantShape == 0 {
+		t.Fatalf("solo run made no memo lookups (scheme %d, shape %d)", wantScheme, wantShape)
+	}
+
+	eng := NewEngine(0, 0)
+	eng.DisableSessionRecording()
+	// Each run's first task waits until the other run has started its
+	// own, so the two runs' lookups interleave.
+	var arrived, done sync.WaitGroup
+	arrived.Add(2)
+	var res [2]*Result
+	var errs [2]error
+	for i := range res {
+		var once sync.Once
+		o := opts
+		o.SchedHooks = &conc.SchedHooks{BeforeTask: func(string, string) {
+			once.Do(func() { arrived.Done(); arrived.Wait() })
+		}}
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			res[i], errs[i] = eng.InferContext(context.Background(), prog, lat, nil, o)
+		}()
+	}
+	done.Wait()
+	for i, r := range res {
+		if errs[i] != nil {
+			t.Fatalf("run %d: %v", i, errs[i])
+		}
+		if got := r.SchemeCacheHits + r.SchemeCacheMisses; got != wantScheme {
+			t.Errorf("run %d: scheme lookups %d, solo run %d", i, got, wantScheme)
+		}
+		if got := r.ShapeCacheHits + r.ShapeCacheMisses; got != wantShape {
+			t.Errorf("run %d: shape lookups %d, solo run %d", i, got, wantShape)
+		}
 	}
 }
 

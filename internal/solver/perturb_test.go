@@ -8,9 +8,7 @@ import (
 	"retypd/internal/asm"
 	"retypd/internal/corpus"
 	"retypd/internal/lattice"
-	"retypd/internal/pgraph"
 	"retypd/internal/schedtest"
-	"retypd/internal/sketch"
 )
 
 // The schedule-perturbation suite: the pipeline's determinism contract
@@ -118,8 +116,8 @@ func statsKey(res *Result) string {
 		res.BodyDedupHits, res.BodyDedupMisses)
 }
 
-// runPerturbed infers prog under one (seed, workers) perturbation with
-// private caches; seed < 0 runs unperturbed.
+// runPerturbed infers prog under one (seed, workers) perturbation on a
+// fresh engine; seed < 0 runs unperturbed.
 func runPerturbed(prog *asm.Program, lat *lattice.Lattice, seed int64, workers int) *Result {
 	opts := DefaultOptions()
 	opts.Workers = workers
@@ -192,15 +190,12 @@ func TestPerturbedSharedCaches(t *testing.T) {
 	lat := lattice.Default()
 
 	want := dump(runPerturbed(prog, lat, -1, 1))
-	scheme := pgraph.NewSimplifyCache(0)
-	shape := sketch.NewShapeCache(0)
+	eng := NewEngine(0, 0)
 	for seed := int64(0); seed < 10; seed++ {
 		opts := DefaultOptions()
 		opts.Workers = int(2 + seed%3)
-		opts.SchemeCache = scheme
-		opts.ShapeCache = shape
 		opts.SchedHooks = schedtest.New(seed).Hooks()
-		if got := dump(Infer(prog, lat, nil, opts)); got != want {
+		if got := dump(eng.Infer(prog, lat, nil, opts)); got != want {
 			t.Fatalf("seed %d: shared-cache perturbed run diverged", seed)
 		}
 	}

@@ -57,6 +57,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"retypd/internal/absint"
 	"retypd/internal/asm"
@@ -65,6 +66,7 @@ import (
 	"retypd/internal/constraints"
 	"retypd/internal/label"
 	"retypd/internal/lattice"
+	"retypd/internal/lru"
 	"retypd/internal/pgraph"
 	"retypd/internal/sketch"
 	"retypd/internal/summaries"
@@ -89,21 +91,13 @@ type Options struct {
 	// fully sequentially on the calling goroutine, values ≤ 0 use one
 	// worker per available CPU. Output is identical for every value.
 	Workers int
-	// SchemeCache memoizes scheme simplification across procedures
-	// with isomorphic constraint sets (and across Infer calls when the
-	// caller shares one cache). Nil gives this Infer call a private
-	// cache; set NoSchemeCache to disable memoization entirely.
-	SchemeCache *pgraph.SimplifyCache
-	// NoSchemeCache disables the simplification memo.
+	// NoSchemeCache disables the engine's scheme-simplification memo
+	// (pgraph.SimplifyCache) for this run: every SCC member is
+	// simplified from its saturated graph. Output is unchanged.
 	NoSchemeCache bool
-	// ShapeCache memoizes phase-2 sketch solving (shape quotient +
-	// lattice decoration) across procedures with isomorphic constraint
-	// sets, keyed by the same canonical fingerprints as SchemeCache.
-	// On a hit F.2 skips Build+Saturate+NewBuilder+Decorate entirely
-	// and serves a sealed, immutable sketch. Nil gives this Infer call
-	// a private cache; set NoShapeCache to disable.
-	ShapeCache *sketch.ShapeCache
-	// NoShapeCache disables the shape memo.
+	// NoShapeCache disables the engine's phase-2 shape memo
+	// (sketch.ShapeCache) for this run: every procedure runs
+	// Build+Saturate+shape inference+decoration. Output is unchanged.
 	NoShapeCache bool
 	// NoBodyDedup disables the earliest memo layer: whole-procedure
 	// body deduplication ahead of abstract interpretation (see
@@ -133,11 +127,6 @@ type Options struct {
 	// means context.Background()). Unexported: cancellation enters
 	// through the context-aware entry points, never as an ad-hoc knob.
 	ctx context.Context
-	// bodyCache is the engine-scoped body-class table (nil for one-shot
-	// Infer calls, which get a run-private table). Unexported: the only
-	// way to share body classes across runs is through an Engine, whose
-	// persistence carries the table's invariants along.
-	bodyCache *bodyCache
 	// schedTrace observes readiness-scheduler events (see schedEvent).
 	// Test-only, like schedHooks: the property tests record the event
 	// stream to check exactly-once execution and dependency ordering.
@@ -197,22 +186,8 @@ type Result struct {
 	Procs map[string]*ProcResult
 	// SCCs is the bottom-up SCC order used.
 	SCCs [][]string
-	// SchemeCacheHits and SchemeCacheMisses report the simplification
-	// memo's effectiveness for this run (both zero when disabled).
-	SchemeCacheHits, SchemeCacheMisses uint64
-	// ShapeCacheHits and ShapeCacheMisses report the phase-2 shape
-	// memo's effectiveness for this run (both zero when disabled).
-	ShapeCacheHits, ShapeCacheMisses uint64
-	// BodyDedupHits counts procedures served by whole-body
-	// deduplication from a representative of the same run (they skipped
-	// constraint generation entirely); BodyDedupCrossHits counts
-	// procedures served from a stored body entry of the engine's
-	// persistent class table — published by an earlier run, possibly of
-	// a different program, possibly in a different process;
-	// BodyDedupMisses counts fingerprinted procedures that ran the full
-	// path (class representatives and excluded members). All zero when
-	// the layer is disabled.
-	BodyDedupHits, BodyDedupCrossHits, BodyDedupMisses uint64
+	// MemoStats reports this run's activity in each memo layer.
+	MemoStats
 	// ReplayedProcs and RecomputedProcs report incremental re-analysis
 	// (Engine.Reanalyze): procedures replayed verbatim from the
 	// previous session versus procedures that went through the full
@@ -221,9 +196,53 @@ type Result struct {
 	ReplayedProcs, RecomputedProcs uint64
 }
 
-// Infer runs the full pipeline. It cannot be cancelled; a task panic —
-// contained into an *AnalysisError by the scheduler — is re-raised.
-// Cancellable, error-returning callers use InferContext.
+// MemoStats counts one run's lookups in the three memo layers. Every
+// count is per run: concurrent runs on one Engine never see each
+// other's lookups. All fields of a disabled layer are zero.
+type MemoStats struct {
+	// SchemeCacheHits and SchemeCacheMisses count lookups in the
+	// scheme-simplification memo (pgraph.SimplifyCache).
+	SchemeCacheHits, SchemeCacheMisses uint64
+	// ShapeCacheHits and ShapeCacheMisses count lookups in the phase-2
+	// shape memo (sketch.ShapeCache).
+	ShapeCacheHits, ShapeCacheMisses uint64
+	// BodyDedupHits counts procedures served by whole-body
+	// deduplication from a representative of the same run (they skipped
+	// constraint generation entirely); BodyDedupCrossHits counts
+	// procedures served from a stored body entry of the engine's
+	// persistent class table — published by an earlier run, possibly of
+	// a different program, possibly in a different process;
+	// BodyDedupMisses counts fingerprinted procedures that ran the full
+	// path (class representatives and excluded members).
+	BodyDedupHits, BodyDedupCrossHits, BodyDedupMisses uint64
+}
+
+// Add accumulates o into m (suite-wide totals).
+func (m *MemoStats) Add(o MemoStats) {
+	m.SchemeCacheHits += o.SchemeCacheHits
+	m.SchemeCacheMisses += o.SchemeCacheMisses
+	m.ShapeCacheHits += o.ShapeCacheHits
+	m.ShapeCacheMisses += o.ShapeCacheMisses
+	m.BodyDedupHits += o.BodyDedupHits
+	m.BodyDedupCrossHits += o.BodyDedupCrossHits
+	m.BodyDedupMisses += o.BodyDedupMisses
+}
+
+// memoTally counts one memo layer's lookups for one run.
+type memoTally struct{ hits, misses atomic.Uint64 }
+
+func (t *memoTally) count(o lru.Outcome) {
+	switch o {
+	case lru.Hit:
+		t.hits.Add(1)
+	case lru.Miss:
+		t.misses.Add(1)
+	}
+}
+
+// Infer runs the full pipeline on a fresh, session-less Engine. It
+// cannot be cancelled; a task panic — contained into an *AnalysisError
+// — is re-raised. Cancellable, error-returning callers use InferContext.
 func Infer(prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts Options) *Result {
 	res, err := InferContext(context.Background(), prog, lat, sums, opts)
 	if err != nil {
@@ -234,7 +253,9 @@ func Infer(prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts O
 	return res
 }
 
-// InferContext runs the full pipeline under ctx. Cancellation is
+// InferContext runs the full pipeline under ctx on a fresh, session-less
+// Engine, so one-shot callers get the engine's memo stack for the
+// duration of the call and its panic backstop. Cancellation is
 // cooperative, observed at task boundaries: the pipeline stops handing
 // out tasks, drains its pool, and returns ctx.Err() — an
 // already-cancelled ctx returns before any worker is spawned. A task
@@ -244,9 +265,9 @@ func Infer(prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts O
 // nothing was published: shared caches hold only completed computes and
 // the returned Result is nil.
 func InferContext(ctx context.Context, prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts Options) (*Result, error) {
-	opts.ctx = ctx
-	res, _, err := infer(prog, lat, sums, opts, nil, nil, nil)
-	return res, err
+	e := NewEngine(0, 0)
+	e.DisableSessionRecording()
+	return e.InferContext(ctx, prog, lat, sums, opts)
 }
 
 // admit applies the admission guards to prog. It runs before the
@@ -264,11 +285,12 @@ func admit(prog *asm.Program, opts Options) error {
 	return nil
 }
 
-// infer is the pipeline entry shared by Infer and the engine. infos and
-// cg may be pre-computed (Reanalyze rebases unchanged per-procedure
-// analyses); inc, when non-nil, switches the run into incremental mode:
-// procedures outside inc.dirty are replayed from their session
-// snapshots instead of re-solved. The returned artifacts carry the
+// infer is the pipeline entry; only Engine methods reach it, so every
+// run uses the engine's memo stack (minus the layers opts disables).
+// infos and cg may be pre-computed (Reanalyze rebases unchanged
+// per-procedure analyses); inc, when non-nil, switches the run into
+// incremental mode: procedures outside inc.dirty are replayed from
+// their session snapshots instead of re-solved. The returned artifacts carry the
 // per-procedure outputs the engine records into its next session.
 //
 // On error the partially-built Result is discarded (nil, nil, err):
@@ -276,7 +298,7 @@ func admit(prog *asm.Program, opts Options) error {
 // ctx.Err(), and a contained task panic as *AnalysisError. Shared
 // caches are safe in every case — they only ever store completed
 // computes, and their single-flight entries release waiters on panic.
-func infer(prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts Options,
+func (e *Engine) infer(prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts Options,
 	infos map[string]*cfg.ProcInfo, cg *cfg.CallGraph, inc *incrementalPlan) (*Result, *runArtifacts, error) {
 	ctx := opts.ctx
 	if ctx == nil {
@@ -306,19 +328,12 @@ func infer(prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts O
 		SCCs:  cg.SCCs,
 	}
 
-	// NoSchemeCache/NoShapeCache win over a provided cache: callers
-	// measuring the uncached baseline must actually get one.
-	cache := opts.SchemeCache
+	cache, shapeCache := e.schemes, e.shapes
 	if opts.NoSchemeCache {
 		cache = nil
-	} else if cache == nil {
-		cache = pgraph.NewSimplifyCache(0)
 	}
-	shapeCache := opts.ShapeCache
 	if opts.NoShapeCache {
 		shapeCache = nil
-	} else if shapeCache == nil {
-		shapeCache = sketch.NewShapeCache(0)
 	}
 
 	// The run context is cancelled when any task faults, so a contained
@@ -345,11 +360,7 @@ func infer(prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts O
 		// Body dedup is skipped in incremental mode: the dirty set is
 		// small by construction, and dedup classification needs whole
 		// levels. Output is identical either way (golden-tested).
-		bodies := opts.bodyCache
-		if bodies == nil {
-			bodies = newBodyCache() // one-shot Infer: run-private table
-		}
-		pl.dedup = newDedupState(lat, opts, sums, isConst, bodies)
+		pl.dedup = newDedupState(lat, opts, sums, isConst, e.bodies)
 	}
 	if inc != nil {
 		// Clean procedures replay their previous schemes; publish them
@@ -357,14 +368,6 @@ func infer(prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts O
 		for p, snap := range inc.replay {
 			pl.schemes[pl.procIdx[p]] = snap.scheme
 		}
-	}
-
-	var hits0, misses0, shapeHits0, shapeMisses0 uint64
-	if cache != nil {
-		hits0, misses0 = cache.Stats() // snapshot: report this run's delta
-	}
-	if shapeCache != nil {
-		shapeHits0, shapeMisses0 = shapeCache.Stats()
 	}
 
 	// Phases 1+2 (F.1/F.2), overlapped on the readiness graph: the
@@ -408,14 +411,8 @@ func infer(prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts O
 		return nil, nil, err
 	}
 
-	if cache != nil {
-		h, m := cache.Stats()
-		res.SchemeCacheHits, res.SchemeCacheMisses = h-hits0, m-misses0
-	}
-	if shapeCache != nil {
-		h, m := shapeCache.Stats()
-		res.ShapeCacheHits, res.ShapeCacheMisses = h-shapeHits0, m-shapeMisses0
-	}
+	res.SchemeCacheHits, res.SchemeCacheMisses = pl.schemeTally.hits.Load(), pl.schemeTally.misses.Load()
+	res.ShapeCacheHits, res.ShapeCacheMisses = pl.shapeTally.hits.Load(), pl.shapeTally.misses.Load()
 	if pl.dedup != nil {
 		res.BodyDedupHits, res.BodyDedupMisses = pl.dedup.hits.Load(), pl.dedup.misses.Load()
 		res.BodyDedupCrossHits = pl.dedup.crossHits.Load()
@@ -467,6 +464,10 @@ type pipeline struct {
 	cache      *pgraph.SimplifyCache
 	shapeCache *sketch.ShapeCache
 	workers    int
+
+	// schemeTally and shapeTally count this run's lookups in the two
+	// engine-shared memos; the caches themselves keep no counters.
+	schemeTally, shapeTally memoTally
 
 	// ctx is the run context (the caller's ctx wrapped in a cancel);
 	// cancelRun cancels it. The first task fault records itself in ferr
@@ -745,12 +746,8 @@ func (pl *pipeline) inferSCC(scc []string) *sccResult {
 	}
 	for j, p := range scc {
 		root := constraints.Var(p)
-		var simp *pgraph.SimplifyResult
-		if pl.cache != nil {
-			simp = pl.cache.Simplify(fp, root, build)
-		} else {
-			simp = build().Simplify(func(v constraints.Var) bool { return v == root })
-		}
+		simp, o := pl.cache.Simplify(fp, root, build)
+		pl.schemeTally.count(o)
 		out.schemes[j] = &constraints.Scheme{
 			Root:        root,
 			Constraints: simp.Constraints,
@@ -857,10 +854,9 @@ func (pl *pipeline) solveProc(p string) (*ProcResult, []actualObs) {
 		return sk
 	}
 	solve := func(v constraints.Var) *sketch.Sketch {
-		if pl.shapeCache != nil {
-			return pl.shapeCache.SketchFor(fp, v, pl.opts.MaxSketchDepth, build)
-		}
-		return build(v)
+		sk, o := pl.shapeCache.SketchFor(fp, v, pl.opts.MaxSketchDepth, build)
+		pl.shapeTally.count(o)
+		return sk
 	}
 	defer func() {
 		if dec != nil {

@@ -37,7 +37,6 @@ import (
 	"retypd/internal/ctype"
 	"retypd/internal/label"
 	"retypd/internal/lattice"
-	"retypd/internal/pgraph"
 	"retypd/internal/sketch"
 	"retypd/internal/solver"
 	"retypd/internal/summaries"
@@ -62,12 +61,6 @@ type (
 	Scheme = constraints.Scheme
 	// Signature is a rendered C procedure signature.
 	Signature = ctype.Signature
-	// SimplifyCache is a shareable memo of scheme simplifications; see
-	// NewSimplifyCache and Config.SchemeCache.
-	SimplifyCache = pgraph.SimplifyCache
-	// ShapeCache is a shareable memo of phase-2 shape solving; see
-	// NewShapeCache and Config.ShapeCache.
-	ShapeCache = sketch.ShapeCache
 	// AnalysisError is the structured failure of one inference run: a
 	// task panicked, the scheduler contained it, and nothing was
 	// published. It carries the faulting task's identity (phase, SCC
@@ -83,32 +76,6 @@ type (
 	// 1-based source line; rendered as "asm:LINE: message".
 	ParseError = asm.ParseError
 )
-
-// NewSimplifyCache returns a scheme-simplification memo bounded to
-// capacity entries (capacity ≤ 0 selects a default of a few thousand).
-// One cache may be shared across any number of concurrent Infer calls,
-// programs, and lattices: entries are keyed by a canonical
-// constraint-set fingerprint that includes the lattice identity, so a
-// hit is only ever served to an isomorphic constraint set. Share one
-// cache across a batch of Infer calls to simplify duplicate leaf
-// procedures once per batch.
-func NewSimplifyCache(capacity int) *SimplifyCache {
-	return pgraph.NewSimplifyCache(capacity)
-}
-
-// NewShapeCache returns a phase-2 shape memo bounded to capacity
-// entries (capacity ≤ 0 selects a default of a few thousand). It
-// memoizes the expensive half of sketch solving — shape quotient
-// construction plus constraint-graph saturation and lattice decoration
-// — under the same canonical-fingerprint keys as the scheme memo, and
-// with the same sharing contract: one cache may be shared across any
-// number of concurrent Infer calls, programs, and lattices. Served
-// sketches are immutable (sealed); operations that derive new sketches
-// from them copy. Share one cache across a batch of Infer calls so
-// duplicate leaf procedures are shape-solved once per batch.
-func NewShapeCache(capacity int) *ShapeCache {
-	return sketch.NewShapeCache(capacity)
-}
 
 // Config customizes inference; the zero value selects the
 // paper-faithful configuration with the stock lattice and summaries.
@@ -138,36 +105,14 @@ type Config struct {
 	// value caps the worker pool at that size. Inference output is
 	// deterministic and byte-identical for every value.
 	Workers int
-	// SchemeCache, when non-nil, memoizes scheme simplification across
-	// procedures with isomorphic constraint sets — including across
-	// Infer calls that share the cache (see NewSimplifyCache for the
-	// sharing contract). Nil gives this Infer call a private cache, so
-	// duplicates are still shared within the call. The cache never
-	// changes inference output, only how often simplification runs.
-	//
-	// Deprecated: hold a long-lived Engine instead — it owns one cache
-	// of each kind, shares them across every call, persists them
-	// (SaveCache/LoadCache), and adds incremental re-analysis on top.
-	// This field remains honored by package-level Infer for one release
-	// and is ignored by Engine.Infer.
-	SchemeCache *SimplifyCache
-	// NoSchemeCache disables simplification memoization entirely, even
-	// when SchemeCache is set — the knob used to measure the uncached
-	// baseline.
+	// NoSchemeCache disables the scheme-simplification memo for this
+	// run, and NoShapeCache the phase-2 shape memo — the knobs used to
+	// measure the uncached baseline. Both memos belong to the Engine the
+	// run goes through (a one-shot Infer uses a fresh one); neither ever
+	// changes inference output, only how often simplification and shape
+	// solving run.
 	NoSchemeCache bool
-	// ShapeCache, when non-nil, memoizes phase-2 sketch solving across
-	// procedures with isomorphic constraint sets — including across
-	// Infer calls that share the cache (see NewShapeCache for the
-	// sharing contract). Nil gives this Infer call a private cache, so
-	// duplicates are still shared within the call. The cache never
-	// changes inference output, only how often shape solving runs; the
-	// sketches it serves are immutable (sealed).
-	//
-	// Deprecated: hold a long-lived Engine instead (see SchemeCache).
-	ShapeCache *ShapeCache
-	// NoShapeCache disables shape memoization entirely, even when
-	// ShapeCache is set.
-	NoShapeCache bool
+	NoShapeCache  bool
 	// MaxInstructions and MaxProcedures are admission guards for
 	// multi-tenant callers: a program exceeding either bound is rejected
 	// with a *LimitError before any analysis work — or goroutine —
@@ -203,7 +148,8 @@ func MustParseAsm(src string) *Program { return asm.MustParse(src) }
 // (§2.8: end users may adjust the initial type hierarchy).
 func NewLatticeBuilder() *LatticeBuilder { return lattice.DefaultBuilder() }
 
-// Infer runs the full Retypd pipeline on prog.
+// Infer runs the full Retypd pipeline on prog, on a fresh engine with
+// session recording off (see Engine for runs that share the memo stack).
 //
 // Memory model: type-variable names and field-label paths are interned
 // into a process-wide append-only symbol table (internal/intern), so
@@ -212,26 +158,24 @@ func NewLatticeBuilder() *LatticeBuilder { return lattice.DefaultBuilder() }
 // For a service inferring an unbounded stream of distinct programs,
 // run batches in separate processes to bound table growth.
 func Infer(prog *Program, cfg *Config) *Result {
-	cfg, lat, opts := resolveConfig(cfg)
-	res := solver.Infer(prog, lat, cfg.Summaries, opts)
-	return &Result{inner: res, conv: ctype.NewConverter(lat)}
+	res, err := InferContext(context.Background(), prog, cfg)
+	if err != nil {
+		// Background is never cancelled; the error is an *AnalysisError
+		// or *LimitError, re-raised under the legacy contract.
+		panic(err)
+	}
+	return res
 }
 
 // InferContext is Infer under a context: cancellation and deadlines are
 // observed cooperatively at task boundaries — the pipeline drains its
 // worker pool and returns ctx.Err() instead of a partial result, and an
 // already-cancelled context returns before any worker spawns. A panic
-// inside an analysis task is contained and returned as a structured
+// anywhere in the analysis is contained and returned as a structured
 // *AnalysisError; a program exceeding Config.MaxInstructions or
-// MaxProcedures is rejected with a *LimitError. On any error no cache
-// or session state of the failed run was published.
+// MaxProcedures is rejected with a *LimitError.
 func InferContext(ctx context.Context, prog *Program, cfg *Config) (*Result, error) {
-	cfg, lat, opts := resolveConfig(cfg)
-	res, err := solver.InferContext(ctx, prog, lat, cfg.Summaries, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{inner: res, conv: ctype.NewConverter(lat)}, nil
+	return NewEngine(&EngineOptions{DisableSessions: true}).InferContext(ctx, prog, cfg)
 }
 
 // solverOptions maps the public Config knobs onto solver.Options.
@@ -240,9 +184,7 @@ func solverOptions(cfg *Config) solver.Options {
 	opts.Absint = absint.Options{MonomorphicCalls: cfg.Monomorphic}
 	opts.NoSpecialize = cfg.NoSpecialize
 	opts.Workers = cfg.Workers
-	opts.SchemeCache = cfg.SchemeCache
 	opts.NoSchemeCache = cfg.NoSchemeCache
-	opts.ShapeCache = cfg.ShapeCache
 	opts.NoShapeCache = cfg.NoShapeCache
 	opts.NoBodyDedup = cfg.NoBodyDedup
 	opts.MaxInstructions = cfg.MaxInstructions
@@ -382,7 +324,9 @@ func (r *Result) Report() string {
 
 // CacheStats reports the effectiveness of the three memo layers for
 // one Infer call (body → scheme → sketch; see docs/ARCHITECTURE.md).
-// All fields of a disabled layer are zero.
+// The counts are this call's own lookups, even when other calls run
+// concurrently on the same Engine. All fields of a disabled layer are
+// zero.
 type CacheStats struct {
 	// SchemeHits/SchemeMisses count scheme-simplification memo lookups
 	// (pgraph.SimplifyCache).

@@ -1,8 +1,14 @@
 package retypd
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
+
+	"retypd/internal/asm"
+	"retypd/internal/lattice"
+	"retypd/internal/solver"
 )
 
 const closeLastAsm = `
@@ -69,17 +75,19 @@ func TestFigure2Signature(t *testing.T) {
 	}
 }
 
-// TestSharedShapeCachePublicAPI: the public Config.ShapeCache knob —
-// a cache shared across Infer calls serves the second call from memo
-// without changing any displayed output, and NoShapeCache really
-// disables it.
+// TestSharedShapeCachePublicAPI: an Engine's shape memo, shared across
+// its Infer calls, serves the second call from memo without changing
+// any displayed output, and NoShapeCache really disables it.
 func TestSharedShapeCachePublicAPI(t *testing.T) {
 	prog := MustParseAsm(closeLastAsm)
-	cache := NewShapeCache(0)
+	eng := NewEngine(nil)
 
 	baseline := Infer(prog, &Config{NoShapeCache: true, NoSchemeCache: true})
-	r1 := Infer(prog, &Config{ShapeCache: cache})
-	r2 := Infer(prog, &Config{ShapeCache: cache})
+	// Body dedup would serve the second call from the body-class table
+	// without consulting the shape memo at all.
+	cfg := &Config{NoBodyDedup: true}
+	r1 := eng.Infer(prog, cfg)
+	r2 := eng.Infer(prog, cfg)
 
 	// One Report per result: the display converter names typedefs
 	// statefully, so repeated Report calls on one Result differ.
@@ -126,5 +134,58 @@ endproc
 	}
 	if st := off.CacheStats(); st.BodyDedupHits != 0 || st.BodyDedupMisses != 0 {
 		t.Errorf("NoBodyDedup run reports dedup activity (%+v)", st)
+	}
+}
+
+// TestParseRejectsEmptyProc: a procedure without instructions is a
+// parse error anchored on its endproc line, not a program the analysis
+// later trips over.
+func TestParseRejectsEmptyProc(t *testing.T) {
+	_, err := ParseAsm("proc f\nendproc\n")
+	var pe *ParseError
+	if !errors.As(err, &pe) || pe.Line != 2 {
+		t.Fatalf("ParseAsm(empty proc) = %v, want a *ParseError on line 2", err)
+	}
+}
+
+// TestEmptyProcNeverPanics: a hand-built program the parser would
+// reject — one procedure with no instructions — must come back as an
+// error from every context-aware entry point, never as a panic.
+func TestEmptyProcNeverPanics(t *testing.T) {
+	empty := &asm.Proc{Name: "f", Labels: map[string]int{}}
+	prog := &asm.Program{Procs: []*asm.Proc{empty}, ProcIndex: map[string]*asm.Proc{"f": empty}}
+	ctx := context.Background()
+	entries := []struct {
+		name string
+		run  func() error
+	}{
+		{"retypd.InferContext", func() error {
+			_, err := InferContext(ctx, prog, nil)
+			return err
+		}},
+		{"retypd.Engine.InferContext", func() error {
+			_, err := NewEngine(nil).InferContext(ctx, prog, nil)
+			return err
+		}},
+		{"solver.InferContext", func() error {
+			_, err := solver.InferContext(ctx, prog, lattice.Default(), nil, solver.DefaultOptions())
+			return err
+		}},
+		{"solver.Engine.InferContext", func() error {
+			_, err := solver.NewEngine(0, 0).InferContext(ctx, prog, lattice.Default(), nil, solver.DefaultOptions())
+			return err
+		}},
+	}
+	for _, e := range entries {
+		t.Run(e.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panic escaped: %v", r)
+				}
+			}()
+			if err := e.run(); err == nil {
+				t.Fatal("no error for a procedure without instructions")
+			}
+		})
 	}
 }
