@@ -107,7 +107,6 @@ func BenchmarkConstRecall(b *testing.B) {
 func BenchmarkInferWholeProgram(b *testing.B) {
 	lat := lattice.Default()
 	opts := solver.DefaultOptions()
-	opts.KeepIntermediates = false
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = solver.Infer(benchCorpus, lat, nil, opts)
@@ -126,7 +125,6 @@ func BenchmarkInferParallel(b *testing.B) {
 	run := func(workers int, noCache bool) func(b *testing.B) {
 		return func(b *testing.B) {
 			opts := solver.DefaultOptions()
-			opts.KeepIntermediates = false
 			opts.Workers = workers
 			opts.NoSchemeCache = noCache
 			opts.NoShapeCache = noCache
@@ -147,7 +145,6 @@ func BenchmarkInferParallel(b *testing.B) {
 func BenchmarkConstraintGen(b *testing.B) {
 	lat := lattice.Default()
 	opts := solver.DefaultOptions()
-	opts.KeepIntermediates = true
 	res := solver.Infer(benchCorpus, lat, nil, opts)
 	_ = res
 	b.ResetTimer()
@@ -229,7 +226,6 @@ func BenchmarkAblationMonomorphic(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			opts := solver.DefaultOptions()
-			opts.KeepIntermediates = false
 			opts.Absint = absint.Options{MonomorphicCalls: mono}
 			for i := 0; i < b.N; i++ {
 				_ = solver.Infer(benchCorpus, lat, nil, opts)
@@ -247,12 +243,11 @@ func BenchmarkAblationNoSimplify(b *testing.B) {
 	// One big raw set: all constraints of the benchmark program.
 	opts := solver.DefaultOptions()
 	res := solver.Infer(benchCorpus, lat, nil, opts)
-	for _, pr := range res.Procs {
-		cs.InsertAll(pr.Constraints)
+	for name := range res.Procs {
+		cs.InsertAll(res.RawConstraints(name))
 	}
 	b.Run("per-SCC-schemes", func(b *testing.B) {
 		o := solver.DefaultOptions()
-		o.KeepIntermediates = false
 		for i := 0; i < b.N; i++ {
 			_ = solver.Infer(benchCorpus, lat, nil, o)
 		}

@@ -59,9 +59,7 @@ type System struct {
 // shape-solved once.
 func Retypd(eng *solver.Engine) System {
 	return System{Name: "Retypd", Run: func(prog *asm.Program, lat *lattice.Lattice) *Outcome {
-		opts := solver.DefaultOptions()
-		opts.KeepIntermediates = false
-		return outcomeFromSolver(eng.Infer(prog, lat, nil, opts), lat)
+		return outcomeFromSolver(eng.Infer(prog, lat, nil, solver.DefaultOptions()), lat)
 	}}
 }
 
@@ -72,7 +70,6 @@ func Retypd(eng *solver.Engine) System {
 func TIEStyle(eng *solver.Engine) System {
 	return System{Name: "TIE*", Run: func(prog *asm.Program, lat *lattice.Lattice) *Outcome {
 		opts := solver.DefaultOptions()
-		opts.KeepIntermediates = false
 		opts.Absint = absint.Options{MonomorphicCalls: true, PolymorphicExternals: true}
 		opts.MaxSketchDepth = 3
 		opts.NoSpecialize = true

@@ -153,8 +153,8 @@ func (fp *FP) EquivalentTo(other *FP) bool {
 // does (no scratch-register renaming between the two bodies). Together
 // with EquivalentTo this means the instruction streams are identical up
 // to label names, JCC mnemonics and call-target names — the condition
-// under which even the raw generated constraint set translates by pure
-// name surgery.
+// under which one body's CFG analysis can be rebased onto the other
+// (cfg.ProcInfo.CloneForProgram).
 func (fp *FP) SameRegisters(other *FP) bool {
 	if len(fp.regs) != len(other.regs) {
 		return false

@@ -53,7 +53,7 @@ func TestFaultSweep(t *testing.T) {
 	prog := sweepProg(t)
 	want := reference(t, prog, lat)
 
-	phases := []string{"F.0", "F.1", "F.2", "F.3"}
+	phases := []string{"F.0", "cfg", "F.1", "F.2", "F.3"}
 	kinds := []struct {
 		name string
 		kind Kind
@@ -110,6 +110,9 @@ func TestFaultSweep(t *testing.T) {
 							}
 							if ae.Phase != phase {
 								t.Errorf("AnalysisError.Phase = %q, want %q", ae.Phase, phase)
+							}
+							if phase == "cfg" && ae.Proc == "" {
+								t.Error("cfg-phase AnalysisError names no procedure")
 							}
 							if !errors.Is(err, ErrInjected) {
 								t.Errorf("AnalysisError does not unwrap to ErrInjected: %v", err)

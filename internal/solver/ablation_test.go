@@ -65,8 +65,8 @@ endproc
 	opts.Absint = absint.Options{MonomorphicCalls: true}
 	mono := Infer(prog, lat, nil, opts)
 	global := constraints.NewSet()
-	for _, pr := range mono.Procs {
-		global.InsertAll(pr.Constraints)
+	for name := range mono.Procs {
+		global.InsertAll(mono.RawConstraints(name))
 	}
 	shapes := sketch.NewBuilder(global, lat)
 	skOut := shapes.SketchFor("xalloc", -1)
@@ -85,8 +85,8 @@ endproc
 	// instances apart: xalloc's own (untagged) return stays free of the
 	// callers' fields.
 	polyGlobal := constraints.NewSet()
-	for _, pr := range poly.Procs {
-		polyGlobal.InsertAll(pr.Constraints)
+	for name := range poly.Procs {
+		polyGlobal.InsertAll(poly.RawConstraints(name))
 	}
 	shapes2 := sketch.NewBuilder(polyGlobal, lat)
 	skOut2 := shapes2.SketchFor("xalloc", -1)
@@ -137,7 +137,7 @@ endproc
 	opts := DefaultOptions()
 	opts.Absint = absint.Options{NoConstantSuppression: true}
 	res2 := Infer(prog, lat, nil, opts)
-	text := res2.Procs["caller"].Constraints.String()
+	text := res2.RawConstraints("caller").String()
 	if !contains(text, "caller!zero") {
 		t.Errorf("ablation should emit the shared zero variable:\n%s", text)
 	}

@@ -74,8 +74,8 @@ type bodyClass struct {
 type bodyEntry struct {
 	// rep is the publisher's procedure name — the renamer's From side.
 	rep string
-	// fp is the publisher's fingerprint: its register assignment and
-	// call sites drive the rename pairs and the SameRegisters check.
+	// fp is the publisher's fingerprint: its call sites drive the
+	// rename pairs.
 	fp *bodyfp.FP
 	// namedProc records, per fp.Calls() site, whether the call target
 	// was a procedure of the publisher's program. Meaningful for
@@ -89,9 +89,9 @@ type bodyEntry struct {
 	// sk is the publisher's solved sketch, sealed (sketches mention no
 	// variable names, so it is shared verbatim).
 	sk *sketch.Sketch
-	// raw is the publisher's generated constraint set (nil when the
-	// publishing run did not keep intermediates; KeepIntermediates
-	// consumers then refuse the entry).
+	// raw is a legacy raw constraint set decoded from an older cache
+	// file, kept only so the entry re-encodes byte for byte; no run
+	// reads it, and entries a run publishes never carry one.
 	raw *constraints.Set
 	// obs are the publisher's callsite-actual observations keyed by
 	// call site; consumers re-key them to their own callee names.
@@ -202,9 +202,7 @@ func sumsDigest(sums summaries.Table) string {
 // persistent body entry depends on into one digest for
 // bodyfp.Config.CtxSig: the summaries table (externals reach generated
 // constraints through it) and the solve options shaping cached sketches
-// and observations. KeepIntermediates is deliberately absent — it only
-// decides whether the raw set is retained, which consumers check per
-// entry at serve time instead of splitting the key space.
+// and observations.
 func runCtxSig(opts Options, sums summaries.Table) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "depth=%d\x00nospec=%v\x00sums=%s", opts.MaxSketchDepth, opts.NoSpecialize, sumsDigest(sums))

@@ -47,7 +47,6 @@ import (
 type dedupState struct {
 	conf    bodyfp.Config
 	isConst func(constraints.Var) bool
-	keep    bool // Options.KeepIntermediates: members must also translate raw constraint sets
 
 	// cache is the engine-scoped class table (a one-shot Infer call's
 	// engine lives only as long as the call). Its mutex guards class
@@ -60,9 +59,8 @@ type dedupState struct {
 	// callee identity later levels mix into their own body hashes.
 	classOf map[string]uint32
 	// localRep maps a class to this run's first full-path member — the
-	// in-program translation source (path 2). Entry-served members
-	// never become localRep: translateProc reads the representative's
-	// generated constraints, which entry serving skips.
+	// in-program translation source (path 2). Only full-path members
+	// become localRep; entry-served members of the class need none.
 	localRep map[uint32]localSrc
 	// anchor maps a class to its first in-program occurrence, the
 	// CFG-analysis clone source: a later member with the identical
@@ -122,7 +120,6 @@ func newDedupState(lat *lattice.Lattice, opts Options, sums summaries.Table, isC
 			CtxSig:                runCtxSig(opts, sums),
 		},
 		isConst:   isConst,
-		keep:      opts.KeepIntermediates,
 		cache:     cache,
 		classOf:   map[string]uint32{},
 		localRep:  map[uint32]localSrc{},
@@ -224,22 +221,14 @@ func (ds *dedupState) classify(p string, fp *bodyfp.FP, isProc func(string) bool
 }
 
 // entryPlan builds the serving plan from a stored entry, or nil when
-// the entry cannot serve p:
-//
-//   - KeepIntermediates needs the publisher's raw constraint set under
-//     the identical register assignment (raw local names embed actual
-//     registers);
-//   - every CalleeNamed call target must resolve the same way here
-//     (program procedure vs external) as it did for the publisher —
-//     equal encodings guarantee equal names at named sites, but not
-//     equal resolution, and generation models the two differently.
-//     Targets classified in this run are CalleeClass sites (callees
-//     are classified in strictly earlier levels, so classOf is final
-//     for them) and carry their identity in the encoding itself.
+// the entry cannot serve p: every CalleeNamed call target must resolve
+// the same way here (program procedure vs external) as it did for the
+// publisher — equal encodings guarantee equal names at named sites,
+// but not equal resolution, and generation models the two differently.
+// Targets classified in this run are CalleeClass sites (callees are
+// classified in strictly earlier levels, so classOf is final for them)
+// and carry their identity in the encoding itself.
 func (ds *dedupState) entryPlan(p string, fp *bodyfp.FP, e *bodyEntry, isProc func(string) bool) *memberPlan {
-	if ds.keep && (e.raw == nil || !fp.SameRegisters(e.fp)) {
-		return nil
-	}
 	repCalls, memCalls := e.fp.Calls(), fp.Calls()
 	if len(repCalls) != len(memCalls) || len(e.namedProc) != len(repCalls) {
 		return nil // cannot happen for equivalent encodings; stay safe
@@ -270,13 +259,6 @@ func (ds *dedupState) entryPlan(p string, fp *bodyfp.FP, e *bodyEntry, isProc fu
 // localPlan builds the in-program translation plan from this run's
 // representative, or nil when the member must run the full path.
 func (ds *dedupState) localPlan(p string, fp *bodyfp.FP, rep localSrc, isProc func(string) bool) *memberPlan {
-	if ds.keep && !fp.SameRegisters(rep.fp) {
-		// KeepIntermediates retains the raw generated constraint set,
-		// whose local names embed actual register names; translating it
-		// across a scratch-register renaming would need name surgery
-		// inside defVar suffixes. Rare enough to just compute fully.
-		return nil
-	}
 	repCalls, memCalls := rep.fp.Calls(), fp.Calls()
 	if len(repCalls) != len(memCalls) {
 		return nil // cannot happen for equivalent encodings; stay safe
@@ -322,9 +304,6 @@ func (ds *dedupState) publish(pl *pipeline, prog *asm.Program) {
 		if pr.Sketch != nil {
 			e.sk = pr.Sketch.Seal()
 		}
-		if g := pl.gens[idx]; g != nil {
-			e.raw = g.Constraints
-		}
 		if n := len(pl.obs[idx]); n > 0 {
 			e.obs = make([]entryObs, n)
 			for i, o := range pl.obs[idx] {
@@ -341,10 +320,9 @@ func (ds *dedupState) publish(pl *pipeline, prog *asm.Program) {
 
 // translateProc derives a member's phase-2 result from its in-program
 // representative's: the sketch is shared (sealed — sketches mention no
-// variable names, so the representative's solution IS the member's),
+// variable names, so the representative's solution IS the member's) and
 // callsite-actual observations are re-keyed to the member's own callee
-// names, and under KeepIntermediates the raw constraint set is
-// translated (or regenerated, should the surgery ever fail).
+// names.
 func (pl *pipeline) translateProc(p string, plan *memberPlan, repPR *ProcResult, repObs []actualObs) (*ProcResult, []actualObs) {
 	pi := pl.infos[p]
 	sk := repPR.Sketch
@@ -358,13 +336,6 @@ func (pl *pipeline) translateProc(p string, plan *memberPlan, repPR *ProcResult,
 		Scheme:         pl.schemes[pl.procIdx[p]],
 		Sketch:         sk,
 		SpecializedIns: map[string]*sketch.Sketch{},
-	}
-	if pl.opts.KeepIntermediates {
-		if cs, ok := plan.ren.Apply(pl.gens[pl.procIdx[plan.rep]].Constraints); ok {
-			pr.Constraints = cs
-		} else {
-			pr.Constraints = absint.Generate(pi, pl.infos, pl.schemeOf, pl.sums, pl.isConst, pl.opts.Absint).Constraints
-		}
 	}
 	if len(repObs) == 0 {
 		return pr, nil
@@ -387,10 +358,7 @@ func (pl *pipeline) translateProc(p string, plan *memberPlan, repPR *ProcResult,
 
 // translateEntry derives a member's phase-2 result from a stored body
 // entry — the cross-program analogue of translateProc. The entry's
-// sketches are already sealed; under KeepIntermediates the publisher's
-// raw set (whose presence entryPlan verified) is translated, with the
-// same regenerate fallback (sound here because the member's F.1 was
-// ordered after its callee SCCs like any other procedure's).
+// sketches are already sealed, so they are shared verbatim.
 func (pl *pipeline) translateEntry(p string, plan *memberPlan) (*ProcResult, []actualObs) {
 	pi := pl.infos[p]
 	e := plan.entry
@@ -401,13 +369,6 @@ func (pl *pipeline) translateEntry(p string, plan *memberPlan) (*ProcResult, []a
 		Scheme:         pl.schemes[pl.procIdx[p]],
 		Sketch:         e.sk,
 		SpecializedIns: map[string]*sketch.Sketch{},
-	}
-	if pl.opts.KeepIntermediates {
-		if cs, ok := plan.ren.Apply(e.raw); ok {
-			pr.Constraints = cs
-		} else {
-			pr.Constraints = absint.Generate(pi, pl.infos, pl.schemeOf, pl.sums, pl.isConst, pl.opts.Absint).Constraints
-		}
 	}
 	if len(e.obs) == 0 {
 		return pr, nil

@@ -97,8 +97,9 @@ endproc
 `
 
 // dumpAll renders everything observable about a result, including the
-// per-procedure raw constraint sets (sorted rendering), so the golden
-// comparison also covers the KeepIntermediates translation path.
+// per-procedure raw constraint sets Result.RawConstraints derives, so
+// the golden comparison also covers the scheme visibility each run's
+// results give constraint generation.
 func dumpAll(res *Result) string {
 	var b strings.Builder
 	b.WriteString(res.DumpSchemes())
@@ -111,7 +112,7 @@ func dumpAll(res *Result) string {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		if cs := res.Procs[n].Constraints; cs != nil {
+		if cs := res.RawConstraints(n); cs != nil {
 			b.WriteString(n + ":\n" + cs.String() + "\n")
 		}
 	}
@@ -152,7 +153,6 @@ func TestBodyDedupGoldenOnOff(t *testing.T) {
 					o.NoSchemeCache = true
 					o.NoShapeCache = true
 				}},
-				{"on/nointermediates", func(o *Options) { o.Workers = 2; o.KeepIntermediates = false }},
 			}
 			for _, tc := range cases {
 				t.Run(tc.name, func(t *testing.T) {
@@ -160,18 +160,11 @@ func TestBodyDedupGoldenOnOff(t *testing.T) {
 					tc.mod(&opts)
 					res := Infer(prog, lat, nil, opts)
 					got := dumpAll(res)
-					wantHere := want
-					if !opts.KeepIntermediates {
-						// Constraints are absent; compare the visible part.
-						wantHere = dumpAll(Infer(prog, lat, nil, Options{
-							MaxSketchDepth: -1, Workers: 1, NoBodyDedup: true,
-						}))
-					}
-					if got != wantHere {
+					if got != want {
 						t.Errorf("output diverged from dedup-off baseline (len %d vs %d)",
-							len(got), len(wantHere))
-						for i := 0; i < len(got) && i < len(wantHere); i++ {
-							if got[i] != wantHere[i] {
+							len(got), len(want))
+						for i := 0; i < len(got) && i < len(want); i++ {
+							if got[i] != want[i] {
 								lo := i - 120
 								if lo < 0 {
 									lo = 0
@@ -180,11 +173,11 @@ func TestBodyDedupGoldenOnOff(t *testing.T) {
 								if hi > len(got) {
 									hi = len(got)
 								}
-								if hi > len(wantHere) {
-									hi = len(wantHere)
+								if hi > len(want) {
+									hi = len(want)
 								}
 								t.Logf("first divergence at byte %d:\n got: …%s…\nwant: …%s…",
-									i, got[lo:hi], wantHere[lo:hi])
+									i, got[lo:hi], want[lo:hi])
 								break
 							}
 						}
@@ -231,29 +224,19 @@ func TestBodyDedupMonomorphic(t *testing.T) {
 
 // TestBodyDedupStats sanity-checks the hit accounting on the
 // handwritten program: leaf_b/leaf_c dedup against leaf_a, wrap_b
-// against wrap_a (their callees are class-equal), regvar_b against
-// regvar_a only when raw constraint sets need not be translated
-// (register renaming is excluded under KeepIntermediates).
+// against wrap_a (their callees are class-equal), and regvar_b against
+// regvar_a despite its renamed scratch registers (no register-bearing
+// raw name is ever translated).
 func TestBodyDedupStats(t *testing.T) {
 	lat := lattice.Default()
 	prog := asm.MustParse(dedupProgSrc)
 
 	opts := DefaultOptions()
-	opts.KeepIntermediates = false
 	opts.Workers = 1
 	res := Infer(prog, lat, nil, opts)
 	// leaf_b, leaf_c, wrap_b, regvar_b are members.
 	if res.BodyDedupHits != 4 {
 		t.Errorf("hits = %d, want 4 (leaf_b, leaf_c, wrap_b, regvar_b)", res.BodyDedupHits)
-	}
-
-	keep := DefaultOptions()
-	keep.Workers = 1
-	resK := Infer(prog, lat, nil, keep)
-	// regvar_b drops out: its raw constraint set embeds renamed
-	// registers.
-	if resK.BodyDedupHits != 3 {
-		t.Errorf("hits with KeepIntermediates = %d, want 3", resK.BodyDedupHits)
 	}
 }
 
@@ -284,7 +267,6 @@ func TestBodyDedupCorpusEffect(t *testing.T) {
 	b := corpus.Generate("dedup", 1234, 4000)
 	prog := asm.MustParse(b.Source)
 	opts := DefaultOptions()
-	opts.KeepIntermediates = false
 	res := Infer(prog, lattice.Default(), nil, opts)
 	total := res.BodyDedupHits + res.BodyDedupMisses
 	t.Logf("body dedup: %d hits / %d misses over %d procs", res.BodyDedupHits, res.BodyDedupMisses, len(res.Procs))

@@ -99,6 +99,10 @@ type session struct {
 	// when a member's own body did not change (its scheme was
 	// simplified relative to the old SCC union).
 	sccKey map[string]string
+	// legacyRaw is the option bit of a loaded file whose writer stored
+	// raw constraint sets; kept only so SaveSessionTo re-encodes such a
+	// file byte for byte (see session.go).
+	legacyRaw bool
 }
 
 // procSnap is one procedure's session snapshot.
@@ -124,6 +128,10 @@ type procSnap struct {
 	// obs are the callsite-actual observations the procedure
 	// contributed to phase 3, replayed verbatim for clean procedures.
 	obs []actualObs
+	// raw is a legacy raw constraint set decoded from an older session
+	// file, kept only so SaveSessionTo re-encodes it; no run reads it,
+	// and snapshots a run records never carry one.
+	raw *constraints.Set
 }
 
 // sessionConfig derives the body-fingerprint configuration of a run.
@@ -160,8 +168,7 @@ func optsCompatible(a, b Options) bool {
 		a.Absint.NoConstantSuppression == b.Absint.NoConstantSuppression &&
 		a.Absint.Covered == nil && b.Absint.Covered == nil &&
 		a.MaxSketchDepth == b.MaxSketchDepth &&
-		a.NoSpecialize == b.NoSpecialize &&
-		a.KeepIntermediates == b.KeepIntermediates
+		a.NoSpecialize == b.NoSpecialize
 }
 
 // Infer runs the full pipeline with the engine's memo stack and records
@@ -202,7 +209,7 @@ func (e *Engine) InferContext(ctx context.Context, prog *asm.Program, lat *latti
 	if err != nil {
 		return nil, err
 	}
-	e.record(lat, sums, opts, res, art, nil)
+	e.record(lat, sums, "", opts, res, art, nil)
 	return res, nil
 }
 
@@ -328,15 +335,6 @@ func (e *Engine) ReanalyzeContext(ctx context.Context, prog *asm.Program, lat *l
 	for _, p := range order {
 		snap, ok := sess.procs[p.Name]
 		d := !ok || !snap.fp.EquivalentTo(fpOf[p.Name])
-		if !d && opts.KeepIntermediates && !snap.fp.SameRegisters(fpOf[p.Name]) {
-			// The fingerprint is canonical over scratch-register
-			// symmetry classes, but the raw kept constraint set embeds
-			// actual register names in its defVar suffixes — replaying
-			// it across a register renaming would diverge from
-			// from-scratch output. Same guard as the in-run dedup
-			// layer (dedup.go).
-			d = true
-		}
 		if !d {
 			for _, c := range fpOf[p.Name].Calls() {
 				if isProcNew(c.Target) != isProcOld(c.Target) {
@@ -403,7 +401,9 @@ func (e *Engine) ReanalyzeContext(ctx context.Context, prog *asm.Program, lat *l
 	if err != nil {
 		return nil, err
 	}
-	e.record(lat, sums, opts, res, art, fpOf)
+	// The compatibility check above established that sums digests to
+	// the previous session's value.
+	e.record(lat, sums, sess.sumsDig, opts, res, art, fpOf)
 	return res, nil
 }
 
@@ -425,8 +425,8 @@ func sccKeys(cg *cfg.CallGraph) map[string]string {
 
 // replayProc rebuilds a clean procedure's result from its session
 // snapshot: a fresh shell (phase 3 fills SpecializedIns per run)
-// sharing the immutable pieces — the scheme, the sealed sketch, the
-// kept constraint set — plus the recorded callsite observations.
+// sharing the immutable pieces — the scheme and the sealed sketch —
+// plus the recorded callsite observations.
 func (pl *pipeline) replayProc(p string) (*ProcResult, []actualObs) {
 	snap := pl.inc.replay[p]
 	pi := pl.infos[p]
@@ -437,7 +437,6 @@ func (pl *pipeline) replayProc(p string) (*ProcResult, []actualObs) {
 		Scheme:         snap.scheme,
 		Sketch:         snap.pr.Sketch,
 		SpecializedIns: map[string]*sketch.Sketch{},
-		Constraints:    snap.pr.Constraints,
 	}
 	return pr, snap.obs
 }
@@ -469,12 +468,12 @@ func bodyHashOf(p *asm.Proc) uint64 {
 	return h.Sum64()
 }
 
-// record publishes a run as the engine's session. fpOf carries the
-// session fingerprints when the caller already computed them
-// (Reanalyze); otherwise they are computed here. Runs whose options
-// cannot be compared across calls (trace-restricted generation) are
-// not recorded.
-func (e *Engine) record(lat *lattice.Lattice, sums summaries.Table, opts Options, res *Result, art *runArtifacts, fpOf map[string]*bodyfp.FP) {
+// record publishes a run as the engine's session. fpOf and sumsDig
+// carry the session fingerprints and the digest of sums when the caller
+// already computed them (Reanalyze); otherwise (nil, "") they are
+// computed here. Runs whose options cannot be compared across calls
+// (trace-restricted generation) are not recorded.
+func (e *Engine) record(lat *lattice.Lattice, sums summaries.Table, sumsDig string, opts Options, res *Result, art *runArtifacts, fpOf map[string]*bodyfp.FP) {
 	if e.noSessions || !sessionable(opts) {
 		return
 	}
@@ -492,9 +491,12 @@ func (e *Engine) record(lat *lattice.Lattice, sums summaries.Table, opts Options
 			fpOf[p] = fps[i]
 		}
 	}
+	if sumsDig == "" {
+		sumsDig = sumsDigest(sums)
+	}
 	sess := &session{
 		latSig:  lat.Signature(),
-		sumsDig: sumsDigest(sums),
+		sumsDig: sumsDig,
 		opts:    opts,
 		procs:   make(map[string]*procSnap, len(art.order)),
 		sccKey:  sccKeys(art.cg),

@@ -54,8 +54,8 @@ endproc
 `
 
 // The golden comparisons below reuse dumpAll from dedup_test.go: it
-// covers schemes, specialized sketches, and the raw kept constraint
-// sets.
+// covers schemes, specialized sketches, and the raw constraint sets
+// Result.RawConstraints derives.
 
 func readFile(t *testing.T, path string) []byte {
 	t.Helper()
@@ -208,10 +208,10 @@ endproc
 }
 
 // TestReanalyzeRegisterRename: a scratch-register rename (ecx→edx) is
-// body-fingerprint-equivalent, but the raw kept constraint set embeds
-// the register name — under KeepIntermediates the procedure must be
-// recomputed, not replayed, or the replayed raw set diverges from
-// from-scratch output.
+// body-fingerprint-equivalent and invisible to every output, so the
+// whole program replays — and the incremental result, including the
+// raw constraint set RawConstraints derives for the renamed procedure,
+// equals a from-scratch run.
 func TestReanalyzeRegisterRename(t *testing.T) {
 	lat := lattice.Default()
 	renamed := strings.Replace(engineProgSrc, "mov ecx, [ebp+8]", "mov edx, [ebp+8]", 1)
@@ -219,24 +219,16 @@ func TestReanalyzeRegisterRename(t *testing.T) {
 	if renamed == engineProgSrc {
 		t.Fatal("rename did not apply")
 	}
-	for _, keep := range []bool{true, false} {
-		opts := DefaultOptions()
-		opts.KeepIntermediates = keep
-		eng := NewEngine(0, 0)
-		eng.Infer(asm.MustParse(engineProgSrc), lat, nil, opts)
-		inc := eng.Reanalyze(asm.MustParse(renamed), lat, nil, opts)
-		scratch := Infer(asm.MustParse(renamed), lat, nil, opts)
-		if dumpAll(inc) != dumpAll(scratch) {
-			t.Fatalf("keep=%v: register-renamed reanalysis differs from scratch", keep)
-		}
-		if keep && inc.RecomputedProcs == 0 {
-			t.Error("keep=true: register-renamed procedure was replayed, not recomputed")
-		}
-		if !keep && inc.ReplayedProcs != 5 {
-			// Without raw sets the rename is invisible to every output;
-			// the whole program replays.
-			t.Errorf("keep=false: replayed %d procs, want 5", inc.ReplayedProcs)
-		}
+	opts := DefaultOptions()
+	eng := NewEngine(0, 0)
+	eng.Infer(asm.MustParse(engineProgSrc), lat, nil, opts)
+	inc := eng.Reanalyze(asm.MustParse(renamed), lat, nil, opts)
+	scratch := Infer(asm.MustParse(renamed), lat, nil, opts)
+	if dumpAll(inc) != dumpAll(scratch) {
+		t.Fatal("register-renamed reanalysis differs from scratch")
+	}
+	if inc.ReplayedProcs != 5 {
+		t.Errorf("replayed %d procs, want 5", inc.ReplayedProcs)
 	}
 }
 

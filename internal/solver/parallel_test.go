@@ -113,7 +113,6 @@ func TestSchemeCacheShared(t *testing.T) {
 	eng := NewEngine(0, 0)
 
 	opts := sharedMemoOptions()
-	opts.KeepIntermediates = false
 
 	r1 := eng.Infer(prog, lat, nil, opts)
 	r2 := eng.Infer(prog, lat, nil, opts)
@@ -136,7 +135,6 @@ func TestNoSchemeCacheLeavesEngineMemoUntouched(t *testing.T) {
 	eng := NewEngine(0, 0)
 
 	opts := DefaultOptions()
-	opts.KeepIntermediates = false
 	opts.NoSchemeCache = true
 	res := eng.Infer(prog, lat, nil, opts)
 
@@ -206,7 +204,6 @@ func TestShapeCacheShared(t *testing.T) {
 	eng := NewEngine(0, 0)
 
 	opts := sharedMemoOptions()
-	opts.KeepIntermediates = false
 
 	r1 := eng.Infer(prog, lat, nil, opts)
 	r2 := eng.Infer(prog, lat, nil, opts)
@@ -246,7 +243,7 @@ func TestShapeCacheServedSketchImmutable(t *testing.T) {
 		t.Fatal("no sealed sketch found in results despite cache hits")
 	}
 
-	g := pgraph.Build(res.Procs[servedProc].Constraints, lat)
+	g := pgraph.Build(res.RawConstraints(servedProc), lat)
 	defer g.Release()
 	dec := sketch.NewDecorator(g)
 	defer dec.Release()
@@ -270,7 +267,6 @@ func TestNoShapeCacheLeavesEngineMemoUntouched(t *testing.T) {
 	eng.DisableSessionRecording()
 
 	opts := DefaultOptions()
-	opts.KeepIntermediates = false
 	opts.NoShapeCache = true
 	// Body dedup also seals the sketches it shares across class
 	// members; turn it off so the sealed check below isolates the shape

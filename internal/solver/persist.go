@@ -32,7 +32,8 @@ import (
 //	       ++ scheme wire ++ sketch wire
 //	       ++ uvarint(call count) ++ namedProc bytes
 //	       ++ uvarint(obs count) per obs (uvarint(inst) ++ loc ++ sketch wire)
-//	       ++ byte(hasRaw) [++ constraint-set wire]
+//	       ++ byte(hasRaw) [++ constraint-set wire]  (legacy: written 0,
+//	          accepted as 1 and re-encoded; see bodyEntry.raw)
 //	++ sha256 of everything preceding (32 bytes)
 //
 // Version-bump rules (the wire-format invariant): any change to what a

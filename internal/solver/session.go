@@ -31,7 +31,7 @@ import (
 //	     uvarint(record length) ++ record, where record is
 //	     name ++ fingerprint wire (bodyfp.FP.AppendWire)
 //	     ++ scheme wire ++ byte(hasSketch) [++ uvarint(len) ++ sketch wire]
-//	     ++ byte(hasRaw) [++ constraint-set wire]
+//	     ++ byte(hasRaw) [++ constraint-set wire]  (legacy, see below)
 //	     ++ uvarint(obs count) per obs
 //	          (callee ++ loc ++ uvarint(inst) ++ uvarint(len) ++ sketch wire)
 //	     ++ SCC membership key
@@ -42,6 +42,12 @@ import (
 // boundaries sequentially, then decodes the records on all cores. That
 // matters because session load sits on the zero-warm-up critical path —
 // a restarted service pays it before the first Reanalyze.
+//
+// A recorded session writes hasRaw 0 and clears sessOptLegacyRaw: raw
+// constraint sets are derived on demand (Result.RawConstraints), never
+// persisted. Files from writers that still stored them (hasRaw 1, the
+// option bit set) load unchanged; their sets are read by no run and
+// kept only so a load-save round trip reproduces the file exactly.
 //
 // What a loaded session does NOT carry: the per-procedure CFG analyses
 // (cfg.ProcInfo holds program-relative state that is cheap to recompute
@@ -66,7 +72,9 @@ const (
 	sessOptPolymorphicExternals
 	sessOptNoConstantSuppression
 	sessOptNoSpecialize
-	sessOptKeepIntermediates
+	// sessOptLegacyRaw was set by writers that stored raw constraint
+	// sets; a recorded session writes it as 0.
+	sessOptLegacyRaw
 )
 
 // ErrNoSession reports a SaveSession call on an engine that has not
@@ -99,8 +107,8 @@ func (e *Engine) SaveSessionTo(w io.Writer) error {
 	if sess.opts.NoSpecialize {
 		bits |= sessOptNoSpecialize
 	}
-	if sess.opts.KeepIntermediates {
-		bits |= sessOptKeepIntermediates
+	if sess.legacyRaw {
+		bits |= sessOptLegacyRaw
 	}
 	buf = append(buf, bits)
 	buf = binary.AppendVarint(buf, int64(sess.opts.MaxSketchDepth))
@@ -126,9 +134,9 @@ func (e *Engine) SaveSessionTo(w io.Writer) error {
 		} else {
 			rec = append(rec, 0)
 		}
-		if snap.pr.Constraints != nil {
+		if snap.raw != nil {
 			rec = append(rec, 1)
-			rec = snap.pr.Constraints.AppendWire(rec)
+			rec = snap.raw.AppendWire(rec)
 		} else {
 			rec = append(rec, 0)
 		}
@@ -227,7 +235,7 @@ func (e *Engine) LoadSessionData(data []byte) (int, error) {
 	sess.opts.Absint.PolymorphicExternals = bits&sessOptPolymorphicExternals != 0
 	sess.opts.Absint.NoConstantSuppression = bits&sessOptNoConstantSuppression != 0
 	sess.opts.NoSpecialize = bits&sessOptNoSpecialize != 0
-	sess.opts.KeepIntermediates = bits&sessOptKeepIntermediates != 0
+	sess.legacyRaw = bits&sessOptLegacyRaw != 0
 	sess.opts.MaxSketchDepth = int(depth)
 
 	count, m := binary.Uvarint(body[n:])
@@ -341,13 +349,13 @@ func decodeSessionRecord(rec []byte) (string, *procSnap, string, error) {
 	}
 	hasRaw := rec[n]
 	n++
+	var raw *constraints.Set
 	switch hasRaw {
 	case 1:
-		cs, m, err := constraints.DecodeSetWire(rec[n:])
+		raw, m, err = constraints.DecodeSetWire(rec[n:])
 		if err != nil {
 			return fail(err)
 		}
-		pr.Constraints = cs
 		n += m
 	case 0:
 	default:
@@ -397,7 +405,7 @@ func decodeSessionRecord(rec []byte) (string, *procSnap, string, error) {
 	if n != len(rec) {
 		return fail(fmt.Errorf("solver: %d trailing bytes in session procedure record", len(rec)-n))
 	}
-	return name, &procSnap{fp: fp, scheme: scheme, pr: pr, obs: obs}, sccKey, nil
+	return name, &procSnap{fp: fp, scheme: scheme, pr: pr, obs: obs, raw: raw}, sccKey, nil
 }
 
 // LoadSession reads a session file into an engine with fresh caches of

@@ -54,6 +54,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -83,10 +84,6 @@ type Options struct {
 	MaxSketchDepth int
 	// NoSpecialize disables the F.3 parameter-refinement pass.
 	NoSpecialize bool
-	// KeepIntermediates retains per-procedure constraint sets and
-	// shapes in the result (tests and the CLI want them; the scaling
-	// harness does not).
-	KeepIntermediates bool
 	// Workers bounds the concurrency of every pipeline phase: 1 runs
 	// fully sequentially on the calling goroutine, values ≤ 0 use one
 	// worker per available CPU. Output is identical for every value.
@@ -137,7 +134,7 @@ type Options struct {
 
 // DefaultOptions returns the paper-faithful configuration.
 func DefaultOptions() Options {
-	return Options{MaxSketchDepth: -1, KeepIntermediates: true}
+	return Options{MaxSketchDepth: -1}
 }
 
 // ProcResult collects everything inferred for one procedure.
@@ -153,8 +150,10 @@ type ProcResult struct {
 	// SpecializedIns maps formal location names to the F.3-refined
 	// parameter sketches (nil when no callsite evidence exists).
 	SpecializedIns map[string]*sketch.Sketch
-	// Constraints is the generated (unsimplified) constraint set, kept
-	// when Options.KeepIntermediates is set.
+	// Constraints is never set by the pipeline: raw constraint sets are
+	// derived on demand by Result.RawConstraints. The field remains only
+	// so code that builds ProcResult values itself (perfbench's traced
+	// replay) keeps compiling.
 	Constraints *constraints.Set
 }
 
@@ -194,6 +193,53 @@ type Result struct {
 	// pipeline because their body — or a transitive callee's — changed.
 	// Both zero for non-incremental runs.
 	ReplayedProcs, RecomputedProcs uint64
+
+	// sums and absintOpts are the run's summaries table and generation
+	// options, retained so RawConstraints can regenerate any procedure's
+	// constraint set exactly as F.1 generated it.
+	sums       summaries.Table
+	absintOpts absint.Options
+}
+
+// RawConstraints returns procedure p's generated, unsimplified
+// constraint set (Appendix A) — the input F.1 simplified into p's
+// scheme — or nil when p is not a procedure of the program. No run
+// carries raw sets; this re-runs constraint generation with the scheme
+// visibility F.1 had: a callee outside p's SCC instantiates its
+// published scheme, a same-SCC callee links through its bare interface
+// variable.
+func (r *Result) RawConstraints(p string) *constraints.Set {
+	pi, ok := r.Infos[p]
+	if !ok {
+		return nil
+	}
+	var scc []string
+	for _, s := range r.SCCs {
+		if slices.Contains(s, p) {
+			scc = s
+			break
+		}
+	}
+	schemeOf := func(name string) *constraints.Scheme {
+		if pr, ok := r.Procs[name]; ok && !slices.Contains(scc, name) {
+			return pr.Scheme
+		}
+		return nil
+	}
+	sums := r.sums
+	if sums == nil {
+		sums = summaries.Default()
+	}
+	return absint.Generate(pi, r.Infos, schemeOf, sums, latticeConst(r.Lat), r.absintOpts).Constraints
+}
+
+// latticeConst reports which variables name lattice constants; generation
+// never renames or tags those.
+func latticeConst(lat *lattice.Lattice) func(constraints.Var) bool {
+	return func(v constraints.Var) bool {
+		_, ok := lat.Elem(string(v))
+		return ok
+	}
 }
 
 // MemoStats counts one run's lookups in the three memo layers. Every
@@ -316,16 +362,15 @@ func (e *Engine) infer(prog *asm.Program, lat *lattice.Lattice, sums summaries.T
 	if cg == nil {
 		cg = cfg.BuildCallGraph(prog)
 	}
-	isConst := func(v constraints.Var) bool {
-		_, ok := lat.Elem(string(v))
-		return ok
-	}
+	isConst := latticeConst(lat)
 
 	res := &Result{
-		Prog:  prog,
-		Lat:   lat,
-		Procs: map[string]*ProcResult{},
-		SCCs:  cg.SCCs,
+		Prog:       prog,
+		Lat:        lat,
+		Procs:      map[string]*ProcResult{},
+		SCCs:       cg.SCCs,
+		sums:       sums,
+		absintOpts: opts.Absint,
 	}
 
 	cache, shapeCache := e.schemes, e.shapes
@@ -393,7 +438,10 @@ func (e *Engine) infer(prog *asm.Program, lat *lattice.Lattice, sums summaries.T
 	// each class's first in-program occurrence pays cfg.Analyze, later
 	// identically-registered members rebase it (CloneForProgram).
 	if infos == nil {
-		infos = pl.buildInfos(prog)
+		var err error
+		if infos, err = pl.buildInfos(prog); err != nil {
+			return nil, nil, err
+		}
 	}
 	pl.infos = infos
 	res.Infos = infos
@@ -550,8 +598,9 @@ func (pl *pipeline) initIndex(cg *cfg.CallGraph) {
 // first in-program occurrence always pays the real cfg.Analyze (every
 // procedure needs a ProcInfo regardless of how its schemes are
 // served); the fan-out is deterministic per procedure, so worker count
-// never reaches output.
-func (pl *pipeline) buildInfos(prog *asm.Program) map[string]*cfg.ProcInfo {
+// never reaches output. Each cfg.Analyze runs under the run's panic
+// containment as phase "cfg", and the fan-out observes the run context.
+func (pl *pipeline) buildInfos(prog *asm.Program) (map[string]*cfg.ProcInfo, error) {
 	var cloneFrom map[string]string
 	if pl.dedup != nil {
 		cloneFrom = pl.dedup.cloneFrom
@@ -563,9 +612,14 @@ func (pl *pipeline) buildInfos(prog *asm.Program) map[string]*cfg.ProcInfo {
 		}
 	}
 	analyzed := make([]*cfg.ProcInfo, len(fresh))
-	conc.ForEach(pl.workers, len(fresh), func(i int) {
-		analyzed[i] = cfg.Analyze(prog, fresh[i])
+	err := conc.ForEachCtx(pl.ctx, pl.workers, len(fresh), func(i int) {
+		pl.runGuarded("cfg", -1, fresh[i].Name, func() { analyzed[i] = cfg.Analyze(prog, fresh[i]) })
 	})
+	// A contained fault may leave nil analyses behind even when every
+	// item was handed out; finish surfaces it before they are read.
+	if err = pl.finish(err); err != nil {
+		return nil, err
+	}
 	infos := make(map[string]*cfg.ProcInfo, len(prog.Procs))
 	for i, p := range fresh {
 		infos[p.Name] = analyzed[i]
@@ -576,7 +630,7 @@ func (pl *pipeline) buildInfos(prog *asm.Program) map[string]*cfg.ProcInfo {
 		}
 	}
 	cfg.FinishHasOut(infos)
-	return infos
+	return infos, nil
 }
 
 // fail records a task fault (first one wins) and cancels the run
@@ -609,8 +663,9 @@ func (pl *pipeline) finish(phaseErr error) error {
 }
 
 // runGuarded is the pipeline's panic containment: every identified task
-// body — F.0 classification items, F.1 scheme inference, F.2 sketch
-// solving, F.3 refinement items — runs inside it. A panic (from the
+// body — F.0 classification items, per-procedure CFG analyses, F.1
+// scheme inference, F.2 sketch solving, F.3 refinement items — runs
+// inside it. A panic (from the
 // task or from an injected SchedHooks.BeforeTask hook, which runs in
 // the same scope precisely so injected faults surface with the task's
 // identity) is converted into the run's *AnalysisError and cancels the
@@ -877,9 +932,6 @@ func (pl *pipeline) solveProc(p string) (*ProcResult, []actualObs) {
 		Scheme:         pl.schemes[idx],
 		Sketch:         solve(constraints.Var(p)),
 		SpecializedIns: map[string]*sketch.Sketch{},
-	}
-	if pl.opts.KeepIntermediates {
-		pr.Constraints = gr.Constraints
 	}
 
 	var obs []actualObs
