@@ -112,13 +112,13 @@ type gen struct {
 
 	f constraints.Var // the procedure's own type variable
 
-	defAval map[defKey]aval
+	defAval map[uint64]aval // keyed by defKey
 	// regionBases are the (sorted, negative) frame offsets whose
 	// address is taken; regionEnd[i] is the exclusive upper bound of
 	// region i.
 	regionBases []int32
 	mergeVars   map[mergeKey]constraints.Var
-	frmEmitted  map[cfg.Loc]constraints.Var
+	frmEmitted  map[cfg.LocKey]constraints.Var
 	regionVars  map[int32]constraints.Var
 	freshN      int
 	// nb composes every minted variable name (definition sites, merge
@@ -143,9 +143,11 @@ type mergeKey struct {
 	key string
 }
 
-type defKey struct {
-	d   cfg.DefID
-	loc cfg.Loc
+// defKey packs a definition made at instruction d (never an entry
+// definition, so d ≥ 0 fits 31 bits) and its location's 33-bit key
+// into one integer.
+func defKey(d cfg.DefID, l cfg.Loc) uint64 {
+	return uint64(d)<<33 | uint64(l.Key())
 }
 
 // SchemeLookup resolves a callee name to its already-computed type
@@ -176,9 +178,9 @@ func Generate(pi *cfg.ProcInfo, infos map[string]*cfg.ProcInfo,
 		opts:       opts,
 		cs:         constraints.NewSet(),
 		f:          constraints.Var(pi.Proc.Name),
-		defAval:    map[defKey]aval{},
+		defAval:    map[uint64]aval{},
 		mergeVars:  map[mergeKey]constraints.Var{},
-		frmEmitted: map[cfg.Loc]constraints.Var{},
+		frmEmitted: map[cfg.LocKey]constraints.Var{},
 		regionVars: map[int32]constraints.Var{},
 	}
 	g.findRegions()
@@ -242,11 +244,11 @@ func (g *gen) regionVar(base int32) constraints.Var {
 // frmVar returns (emitting the F.in constraint once) the type variable
 // of a formal's entry definition.
 func (g *gen) frmVar(l cfg.Loc) constraints.Var {
-	if v, ok := g.frmEmitted[l]; ok {
+	if v, ok := g.frmEmitted[l.Key()]; ok {
 		return v
 	}
 	v := constraints.Var(g.nb.Begin(g.pi.Proc.Name).Str("!frm!").Str(l.ParamName()).String())
-	g.frmEmitted[l] = v
+	g.frmEmitted[l.Key()] = v
 	g.cs.AddSub(
 		constraints.MakeDTV(g.f, label.In(l.ParamName())),
 		constraints.BaseDTV(v),
@@ -281,7 +283,7 @@ func (g *gen) resolveDef(d cfg.DefID, l cfg.Loc) aval {
 	if d.IsEntry() {
 		return aval{kind: avVar, base: g.frmVar(g.pi.EntryLoc(d))}
 	}
-	if v, ok := g.defAval[defKey{d, l}]; ok {
+	if v, ok := g.defAval[defKey(d, l)]; ok {
 		return v
 	}
 	// Definition not yet processed (loop back edge) or typeless: give
@@ -308,7 +310,7 @@ func (g *gen) resolveLoc(l cfg.Loc, st *state) resolved {
 			}
 		}
 	}
-	defs := st.reach[l]
+	defs := st.reach[l.Key()]
 	var vals []aval
 	allZero := len(defs) > 0
 	for _, d := range defs {
@@ -359,7 +361,7 @@ func (g *gen) regionVarForAddr(off int32) constraints.Var {
 // state is the per-instruction abstract machine state.
 type state struct {
 	regs  [6]aval // eax..edi (esp/ebp handled by the stack analysis)
-	reach map[cfg.Loc][]cfg.DefID
+	reach map[cfg.LocKey][]cfg.DefID
 }
 
 func trackable(r asm.Reg) bool { return r < 6 }
@@ -378,11 +380,7 @@ func (g *gen) run() {
 	blockIn := g.constFixpoint()
 
 	for b := range g.pi.Blocks {
-		st := &state{reach: map[cfg.Loc][]cfg.DefID{}}
-		st.regs = blockIn[b]
-		for l, ds := range g.pi.ReachEntry(b) {
-			st.reach[l] = ds
-		}
+		st := &state{reach: g.pi.ReachEntry(b), regs: blockIn[b]}
 		for i := g.pi.Blocks[b].Start; i < g.pi.Blocks[b].End; i++ {
 			g.step(i, st)
 		}

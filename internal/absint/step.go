@@ -263,16 +263,16 @@ func (g *gen) loadSlot(i int, slot int32, bits int, dloc cfg.Loc, st *state) {
 
 // setDef records the aval of a definition made by instruction i.
 func (g *gen) setDef(i int, l cfg.Loc, a aval) {
-	g.defAval[defKey{cfg.DefID(i), l}] = a
+	g.defAval[defKey(cfg.DefID(i), l)] = a
 }
 
 // advance applies instruction i's kills/gens to the replayed state.
 func (g *gen) advance(i int, st *state) {
 	var lbuf [4]cfg.Loc
 	for _, l := range g.pi.AppendDefsOf(lbuf[:0], i) {
-		st.reach[l] = []cfg.DefID{cfg.DefID(i)}
+		st.reach[l.Key()] = []cfg.DefID{cfg.DefID(i)}
 		if !l.IsSlot && trackable(l.Reg) {
-			if a, ok := g.defAval[defKey{cfg.DefID(i), l}]; ok {
+			if a, ok := g.defAval[defKey(cfg.DefID(i), l)]; ok {
 				st.regs[l.Reg] = a
 			} else {
 				st.regs[l.Reg] = aval{kind: avDead}

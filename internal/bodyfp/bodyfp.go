@@ -60,7 +60,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/maphash"
+	"slices"
 	"sort"
+	"sync"
 
 	"retypd/internal/asm"
 	"retypd/internal/cfg"
@@ -225,8 +227,49 @@ func Compute(proc *asm.Proc, conf Config, calleeID func(target string) (CalleeID
 // fingerprint.
 func ComputeWithLiveMask(proc *asm.Proc, conf Config, calleeID func(target string) (CalleeID, bool), liveMask uint8) *FP {
 	fp := &FP{}
+	if !fp.encode(proc, conf, calleeID, liveMask) {
+		return nil
+	}
+	fp.hash = maphash.Bytes(seed, fp.enc)
+	return fp
+}
+
+// scratch holds reusable encoding buffers for Matches.
+var scratch = sync.Pool{New: func() any { return new(FP) }}
+
+// Matches reports whether ComputeWithLiveMask(proc, conf, calleeID,
+// liveMask) would return a fingerprint identical to fp — the same
+// canonical encoding, register assignment and call sites — without
+// building one, so a caller holding fp can keep using it for proc.
+func (fp *FP) Matches(proc *asm.Proc, conf Config, calleeID func(target string) (CalleeID, bool), liveMask uint8) bool {
+	s := scratch.Get().(*FP)
+	ok := s.encode(proc, conf, calleeID, liveMask) &&
+		bytes.Equal(s.enc, fp.enc) && slices.Equal(s.regs, fp.regs) && slices.Equal(s.calls, fp.calls)
+	clear(s.calls) // drop the target strings before pooling
+	scratch.Put(s)
+	return ok
+}
+
+// encode computes proc's canonical encoding, register assignment and
+// call sites into fp, reusing its buffers; it reports false when
+// calleeID rejects a target.
+func (fp *FP) encode(proc *asm.Proc, conf Config, calleeID func(target string) (CalleeID, bool), liveMask uint8) bool {
 	insts := proc.Insts
-	enc := make([]byte, 0, 16+12*len(insts))
+	enc := fp.enc[:0]
+	if want := 24 + len(conf.LatticeSig) + len(conf.CtxSig) + 12*len(insts); cap(enc) < want {
+		enc = make([]byte, 0, want)
+	}
+	ncalls := 0
+	for _, in := range insts {
+		if in.Op == asm.CALL || in.Op == asm.JMP {
+			ncalls++
+		}
+	}
+	fp.regs = fp.regs[:0]
+	fp.calls = fp.calls[:0]
+	if cap(fp.calls) < ncalls {
+		fp.calls = make([]Call, 0, ncalls)
+	}
 
 	// Header: options, lattice, run context, interface.
 	var optBits byte
@@ -278,8 +321,10 @@ func ComputeWithLiveMask(proc *asm.Proc, conf Config, calleeID func(target strin
 	}
 	// Free slots per class, in fixed class order, pinned members
 	// removed.
+	var slotBuf [2][3]asm.Reg
 	var slots [2][]asm.Reg
 	for ci, class := range regClasses {
+		slots[ci] = slotBuf[ci][:0]
 		for _, r := range class {
 			if !pinned[r] {
 				slots[ci] = append(slots[ci], r)
@@ -372,13 +417,13 @@ func ComputeWithLiveMask(proc *asm.Proc, conf Config, calleeID func(target strin
 			} else {
 				enc = append(enc, 1)
 				if !encodeCallee(in.Target) {
-					return nil
+					return false
 				}
 				fp.calls = append(fp.calls, Call{Inst: i, Target: in.Target})
 			}
 		case asm.CALL:
 			if !encodeCallee(in.Target) {
-				return nil
+				return false
 			}
 			fp.calls = append(fp.calls, Call{Inst: i, Target: in.Target})
 		default:
@@ -388,6 +433,5 @@ func ComputeWithLiveMask(proc *asm.Proc, conf Config, calleeID func(target strin
 	}
 
 	fp.enc = enc
-	fp.hash = maphash.Bytes(seed, enc)
-	return fp
+	return true
 }

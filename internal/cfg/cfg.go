@@ -10,7 +10,9 @@ package cfg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 
 	"retypd/internal/asm"
 )
@@ -23,6 +25,21 @@ type Loc struct {
 	IsSlot bool
 	Reg    asm.Reg
 	Slot   int32
+}
+
+// LocKey packs a Loc into one integer: bit 32 tells a slot from a
+// register, the low 32 bits hold the slot offset or the register. The
+// reaching-definition maps and the constraint generator's per-location
+// tables key on it, so a probe hashes one uint64 instead of the struct.
+type LocKey uint64
+
+// Key returns l's packed key. Locs built by RegLoc and SlotLoc have
+// distinct keys exactly when they differ.
+func (l Loc) Key() LocKey {
+	if l.IsSlot {
+		return 1<<32 | LocKey(uint32(l.Slot))
+	}
+	return LocKey(l.Reg)
 }
 
 // RegLoc makes a register location.
@@ -47,10 +64,22 @@ func (l Loc) String() string {
 // parameters), matching the paper's instack0 notation.
 func (l Loc) ParamName() string {
 	if l.IsSlot {
-		return fmt.Sprintf("stack%d", l.Slot-4)
+		if k := l.Slot - 4; k >= 0 && int(k) < len(stackParamNames) {
+			return stackParamNames[k]
+		}
+		return "stack" + strconv.Itoa(int(l.Slot-4))
 	}
 	return l.Reg.String()
 }
+
+// stackParamNames caches the names of the first stack parameter slots.
+var stackParamNames = func() []string {
+	names := make([]string, 256)
+	for i := range names {
+		names[i] = "stack" + strconv.Itoa(i)
+	}
+	return names
+}()
 
 // SPVal is an affine stack-pointer value: entrySP + Delta, or unknown.
 type SPVal struct {
@@ -96,13 +125,17 @@ type ProcInfo struct {
 	// TailCalls lists instruction indices of tail-call jumps.
 	TailCalls []int
 
-	// entryDefs maps formal locations to their synthetic DefIDs.
-	entryDefs map[Loc]DefID
-	entryLocs []Loc // indexed by -(id)-1
+	// entryLocs[i] is the formal location of synthetic entry definition
+	// DefID(-i-1).
+	entryLocs []Loc
 
-	// reachIn[b] maps locations to the definitions reaching block b's
-	// entry.
-	reachIn []map[Loc][]DefID
+	// reachLocs lists every location with a definition: the entry
+	// formals, then the locations instructions define, in first-seen
+	// order. reachIn holds the definitions of reachLocs[i] reaching block
+	// b's entry at reachIn[b*len(reachLocs)+i] (ascending; nil for
+	// none). The lists are shared and never written after reachingDefs.
+	reachLocs []LocKey
+	reachIn   [][]DefID
 
 	// hasOutOwn is HasOut's intraprocedural value (before the tail-call
 	// fixpoint of FinishHasOut raises it), captured by Analyze so
@@ -135,7 +168,7 @@ func (pi *ProcInfo) SlotOf(idx int, m asm.Operand) (int32, bool) {
 // Analyze computes the per-procedure analyses. Program-level facts
 // (tail-call out propagation) are refined by AnalyzeProgram.
 func Analyze(prog *asm.Program, proc *asm.Proc) *ProcInfo {
-	pi := &ProcInfo{Proc: proc, Prog: prog, entryDefs: map[Loc]DefID{}}
+	pi := &ProcInfo{Proc: proc, Prog: prog}
 	pi.buildBlocks()
 	pi.stackAnalysis()
 	pi.findFormals()
@@ -216,8 +249,8 @@ func buildBlocksFor(proc *asm.Proc) (blocks []Block, blockOf []int, tailCalls []
 // instruction.
 func (pi *ProcInfo) stackAnalysis() {
 	n := len(pi.Proc.Insts)
-	pi.ESPIn = make([]SPVal, n)
-	pi.EBPIn = make([]SPVal, n)
+	sp := make([]SPVal, 2*n)
+	pi.ESPIn, pi.EBPIn = sp[:n:n], sp[n:]
 
 	type state struct{ esp, ebp SPVal }
 	blockIn := make([]state, len(pi.Blocks))
@@ -447,11 +480,12 @@ func (pi *ProcInfo) findFormals() {
 	entryLive := entryLiveRegs(insts, pi.Blocks)
 	pi.EntryLive = entryLive
 
-	// Stack parameter slots: positive-offset slot reads.
-	paramSlots := map[int32]bool{}
+	// Stack parameter slots: positive-offset slot reads. Gaps are filled
+	// below, so only the highest one read matters.
+	maxSlot := int32(0)
 	noteRead := func(idx int, m asm.Operand) {
-		if off, ok := pi.SlotOf(idx, m); ok && off >= 4 {
-			paramSlots[off] = true
+		if off, ok := pi.SlotOf(idx, m); ok && off >= 4 && off > maxSlot {
+			maxSlot = off
 		}
 	}
 	for i, in := range insts {
@@ -470,21 +504,9 @@ func (pi *ProcInfo) findFormals() {
 	// pass are handled by the constraint generator, not listed as
 	// formals unless also read.
 
-	var slots []int32
-	for off := range paramSlots {
-		slots = append(slots, off)
-	}
-	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
 	// Fill gaps so the argument area is contiguous: a callee that reads
 	// stack0 and stack8 still has three parameters.
-	if len(slots) > 0 {
-		max := slots[len(slots)-1]
-		slots = slots[:0]
-		for off := int32(4); off <= max; off += 4 {
-			slots = append(slots, off)
-		}
-	}
-	for _, off := range slots {
+	for off := int32(4); off <= maxSlot; off += 4 {
 		pi.FormalIns = append(pi.FormalIns, SlotLoc(off))
 	}
 	for r := asm.EAX; r < 6; r++ {
@@ -493,12 +515,9 @@ func (pi *ProcInfo) findFormals() {
 		}
 	}
 
-	// Synthetic entry definitions for formals.
-	for _, l := range pi.FormalIns {
-		id := DefID(-len(pi.entryLocs) - 1)
-		pi.entryDefs[l] = id
-		pi.entryLocs = append(pi.entryLocs, l)
-	}
+	// Synthetic entry definitions for formals (read-only, like
+	// FormalIns itself, so the two share storage).
+	pi.entryLocs = pi.FormalIns
 }
 
 // DefsOf lists the locations defined by instruction idx (registers and
@@ -533,71 +552,126 @@ func (pi *ProcInfo) AppendDefsOf(out []Loc, idx int) []Loc {
 }
 
 // reachingDefs computes block-entry reaching definitions for registers
-// and stack slots.
+// and stack slots: a forward may-fixpoint over a dense (block,
+// location) table, out = gen ∪ (in − kill), where a block kills exactly
+// the locations it defines and gen holds the last definition of each.
 func (pi *ProcInfo) reachingDefs() {
 	nb := len(pi.Blocks)
-	pi.reachIn = make([]map[Loc][]DefID, nb)
-	pi.reachIn[0] = map[Loc][]DefID{}
-	for l, d := range pi.entryDefs {
-		pi.reachIn[0][l] = []DefID{d}
-	}
-	if nb == 1 {
-		selfLoop := false
-		for _, s := range pi.Blocks[0].Succs {
-			if s == 0 {
-				selfLoop = true
-				break
+	locs := make([]LocKey, 0, len(pi.entryLocs)+8)
+	var locIndex map[LocKey]int // once locs outgrow a linear scan
+	locOf := func(k LocKey) int {
+		if locIndex != nil {
+			if i, ok := locIndex[k]; ok {
+				return i
 			}
+		} else if i := slices.Index(locs, k); i >= 0 {
+			return i
 		}
-		if !selfLoop {
-			// Straight-line procedure (the overwhelmingly common leaf
-			// shape): the only block-entry state is the entry
-			// definitions; no out-state is ever consumed. A single
-			// block that jumps back to its own start is NOT straight-
-			// line — its out-state reaches its entry via the back edge,
-			// so it must run the fixpoint like any loop.
-			return
+		locs = append(locs, k)
+		if locIndex == nil && len(locs) > 32 {
+			locIndex = make(map[LocKey]int, 2*len(locs))
+			for i, l := range locs {
+				locIndex[l] = i
+			}
+		} else if locIndex != nil {
+			locIndex[k] = len(locs) - 1
 		}
+		return len(locs) - 1
+	}
+	for _, l := range pi.entryLocs {
+		locOf(l.Key())
 	}
 
-	// Per-block gen/kill in one pass: out = gen ∪ (in − kill).
-	gen := make([]map[Loc]DefID, nb)
-	kill := make([]map[Loc]bool, nb)
-	var lbuf [4]Loc
-	for b := 0; b < nb; b++ {
-		gen[b] = map[Loc]DefID{}
-		kill[b] = map[Loc]bool{}
-		for i := pi.Blocks[b].Start; i < pi.Blocks[b].End; i++ {
-			for _, l := range pi.AppendDefsOf(lbuf[:0], i) {
-				gen[b][l] = DefID(i)
-				kill[b][l] = true
-			}
-		}
+	straight := nb == 1 && !slices.Contains(pi.Blocks[0].Succs, 0)
+	// gen[genAt[b]:genAt[b+1]] lists block b's last definition of each
+	// location it defines, as a one-element (capacity-limited, so never
+	// appended to) definition list.
+	type genDef struct {
+		loc int
+		ds  []DefID
 	}
-
-	mergeInto := func(dst map[Loc][]DefID, l Loc, ds []DefID) bool {
-		cur := dst[l]
-		changed := false
-		for _, d := range ds {
-			found := false
-			for _, c := range cur {
-				if c == d {
-					found = true
-					break
+	var gen []genDef
+	var genAt []int
+	if !straight {
+		genAt = make([]int, nb+1)
+		var last []DefID
+		var at []int // per location: 1 + its gen index in the current block, or 0
+		var lbuf [4]Loc
+		for b := 0; b < nb; b++ {
+			genAt[b] = len(gen)
+			for i := pi.Blocks[b].Start; i < pi.Blocks[b].End; i++ {
+				for _, l := range pi.AppendDefsOf(lbuf[:0], i) {
+					li := locOf(l.Key())
+					for len(at) <= li {
+						at = append(at, 0)
+					}
+					if at[li] == 0 {
+						gen = append(gen, genDef{loc: li})
+						last = append(last, 0)
+						at[li] = len(gen)
+					}
+					last[at[li]-1] = DefID(i)
 				}
 			}
-			if !found {
-				cur = append(cur, d)
-				changed = true
+			for _, g := range gen[genAt[b]:] {
+				at[g.loc] = 0
 			}
 		}
-		if changed {
-			sort.Slice(cur, func(i, j int) bool { return cur[i] < cur[j] })
-			dst[l] = cur
+		genAt[nb] = len(gen)
+		for j := range gen {
+			gen[j].ds = last[j : j+1 : j+1]
 		}
-		return changed
 	}
 
+	L := len(locs)
+	pi.reachLocs = locs
+	pi.reachIn = make([][]DefID, nb*L)
+	entryDefs := make([]DefID, len(pi.entryLocs))
+	for i := range pi.entryLocs {
+		entryDefs[i] = DefID(-i - 1)
+		pi.reachIn[i] = entryDefs[i : i+1 : i+1]
+	}
+	if straight {
+		// Straight-line procedure (the overwhelmingly common leaf
+		// shape): the only block-entry state is the entry definitions;
+		// no out-state is ever consumed. A single block that jumps back
+		// to its own start is NOT straight-line — its out-state reaches
+		// its entry via the back edge, so it must run the fixpoint like
+		// any loop.
+		return
+	}
+
+	// union returns the sorted union of a and b, reusing a (never
+	// writing it) when b adds nothing.
+	union := func(a, b []DefID) ([]DefID, bool) {
+		if len(b) == 0 {
+			return a, false
+		}
+		if len(a) == 0 {
+			return b, true
+		}
+		out := make([]DefID, 0, len(a)+len(b))
+		i, j := 0, 0
+		for i < len(a) || j < len(b) {
+			switch {
+			case j == len(b) || (i < len(a) && a[i] < b[j]):
+				out = append(out, a[i])
+				i++
+			case i == len(a) || b[j] < a[i]:
+				out = append(out, b[j])
+				j++
+			default:
+				out = append(out, a[i])
+				i, j = i+1, j+1
+			}
+		}
+		if len(out) == len(a) {
+			return a, false
+		}
+		return out, true
+	}
+
+	out := make([][]DefID, L)
 	work := []int{0}
 	inWork := make([]bool, nb)
 	inWork[0] = true
@@ -605,23 +679,16 @@ func (pi *ProcInfo) reachingDefs() {
 		b := work[len(work)-1]
 		work = work[:len(work)-1]
 		inWork[b] = false
-		// Compute out state.
-		out := map[Loc][]DefID{}
-		for l, ds := range pi.reachIn[b] {
-			if !kill[b][l] {
-				mergeInto(out, l, ds)
-			}
-		}
-		for l, d := range gen[b] {
-			mergeInto(out, l, []DefID{d})
+		copy(out, pi.reachIn[b*L:(b+1)*L])
+		for _, g := range gen[genAt[b]:genAt[b+1]] {
+			out[g.loc] = g.ds
 		}
 		for _, s := range pi.Blocks[b].Succs {
-			if pi.reachIn[s] == nil {
-				pi.reachIn[s] = map[Loc][]DefID{}
-			}
+			row := pi.reachIn[s*L : (s+1)*L]
 			changed := false
-			for l, ds := range out {
-				if mergeInto(pi.reachIn[s], l, ds) {
+			for li, ds := range out {
+				if merged, ok := union(row[li], ds); ok {
+					row[li] = merged
 					changed = true
 				}
 			}
@@ -633,53 +700,65 @@ func (pi *ProcInfo) reachingDefs() {
 	}
 }
 
+// reachRow returns the block-entry reaching definitions of block b,
+// indexed like reachLocs.
+func (pi *ProcInfo) reachRow(b int) [][]DefID {
+	L := len(pi.reachLocs)
+	return pi.reachIn[b*L : (b+1)*L]
+}
+
 // WalkDefs replays the reaching-definition state through every
 // instruction in order, invoking f with the pre-state of each. The
 // state map is reused; f must not retain it.
-func (pi *ProcInfo) WalkDefs(f func(idx int, reach map[Loc][]DefID)) {
+func (pi *ProcInfo) WalkDefs(f func(idx int, reach map[LocKey][]DefID)) {
 	for b := range pi.Blocks {
-		state := map[Loc][]DefID{}
-		for l, ds := range pi.reachIn[b] {
-			state[l] = ds
-		}
+		state := pi.ReachEntry(b)
 		var lbuf [4]Loc
 		for i := pi.Blocks[b].Start; i < pi.Blocks[b].End; i++ {
 			f(i, state)
 			for _, l := range pi.AppendDefsOf(lbuf[:0], i) {
-				state[l] = []DefID{DefID(i)}
+				state[l.Key()] = []DefID{DefID(i)}
 			}
 		}
 	}
 }
 
-// ReachEntry reports whether any block-entry state is unreachable
-// (diagnostics).
-func (pi *ProcInfo) ReachEntry(b int) map[Loc][]DefID { return pi.reachIn[b] }
+// ReachEntry returns the definitions reaching block b's entry, per
+// location, as a fresh map the caller owns (the lists are shared and
+// must not be written).
+func (pi *ProcInfo) ReachEntry(b int) map[LocKey][]DefID {
+	row := pi.reachRow(b)
+	m := make(map[LocKey][]DefID, len(row))
+	for li, ds := range row {
+		if len(ds) > 0 {
+			m[pi.reachLocs[li]] = ds
+		}
+	}
+	return m
+}
 
-// findHasOut checks whether a definition of eax reaches some ret.
+// findHasOut checks whether a definition of eax reaches some ret: the
+// last definition of eax before the ret when its block has one, else
+// the definitions reaching the block entry.
 func (pi *ProcInfo) findHasOut() {
-	for b := range pi.Blocks {
-		blk := pi.Blocks[b]
-		if blk.End == blk.Start {
+	eax := slices.Index(pi.reachLocs, RegLoc(asm.EAX).Key())
+	var rbuf [4]asm.Reg
+	for b, blk := range pi.Blocks {
+		if blk.End == blk.Start || pi.Proc.Insts[blk.End-1].Op != asm.RET {
 			continue
 		}
-		if pi.Proc.Insts[blk.End-1].Op != asm.RET {
+		for i := blk.End - 2; i >= blk.Start; i-- {
+			for _, r := range instRegDefs(rbuf[:0], pi.Proc.Insts[i]) {
+				if r == asm.EAX {
+					pi.HasOut = true
+					return
+				}
+			}
+		}
+		if eax < 0 {
 			continue
 		}
-		// Replay the block to the ret.
-		state := map[Loc][]DefID{}
-		if pi.reachIn[b] != nil {
-			for l, ds := range pi.reachIn[b] {
-				state[l] = ds
-			}
-		}
-		var lbuf [4]Loc
-		for i := blk.Start; i < blk.End-1; i++ {
-			for _, l := range pi.AppendDefsOf(lbuf[:0], i) {
-				state[l] = []DefID{DefID(i)}
-			}
-		}
-		for _, d := range state[RegLoc(asm.EAX)] {
+		for _, d := range pi.reachRow(b)[eax] {
 			if !d.IsEntry() {
 				pi.HasOut = true
 				return
@@ -700,6 +779,8 @@ type CallGraph struct {
 	// SCCs lists strongly connected components in bottom-up (callee
 	// first) order.
 	SCCs [][]string
+	// SCCOf maps each procedure to the index of its component in SCCs.
+	SCCOf map[string]int
 }
 
 // BuildCallGraph computes the call graph and its SCCs in bottom-up
@@ -709,8 +790,9 @@ type CallGraph struct {
 func BuildCallGraph(prog *asm.Program) *CallGraph {
 	cg := &CallGraph{
 		Prog:      prog,
-		Callees:   map[string][]string{},
-		Externals: map[string][]string{},
+		Callees:   make(map[string][]string, len(prog.Procs)),
+		Externals: make(map[string][]string, len(prog.Procs)),
+		SCCOf:     make(map[string]int, len(prog.Procs)),
 	}
 	// Distinct-callee lists are short, so dedup by linear scan — two
 	// per-procedure maps here dominated the whole build's allocations.
@@ -753,27 +835,35 @@ func BuildCallGraph(prog *asm.Program) *CallGraph {
 		}
 	}
 
-	// Tarjan SCC.
-	index := map[string]int{}
-	low := map[string]int{}
-	onStack := map[string]bool{}
-	var stack []string
-	counter := 0
-	var strongconnect func(v string)
-	strongconnect = func(v string) {
-		index[v] = counter
-		low[v] = counter
+	// Tarjan SCC over dense procedure indices (program order).
+	n := len(prog.Procs)
+	pos := make(map[string]int32, n)
+	for i, p := range prog.Procs {
+		pos[p.Name] = int32(i)
+	}
+	succ := make([][]int32, n)
+	for i, p := range prog.Procs {
+		for _, c := range cg.Callees[p.Name] {
+			succ[i] = append(succ[i], pos[c])
+		}
+	}
+	index := make([]int32, n) // DFS number + 1; 0 = unvisited
+	low := make([]int32, n)
+	onStack := make([]bool, n)
+	var stack []int32
+	counter := int32(0)
+	var strongconnect func(v int32)
+	strongconnect = func(v int32) {
 		counter++
+		index[v], low[v] = counter, counter
 		stack = append(stack, v)
 		onStack[v] = true
-		for _, w := range cg.Callees[v] {
-			if _, seen := index[w]; !seen {
+		for _, w := range succ[v] {
+			if index[w] == 0 {
 				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
+				low[v] = min(low[v], low[w])
+			} else if onStack[w] {
+				low[v] = min(low[v], index[w])
 			}
 		}
 		if low[v] == index[v] {
@@ -782,18 +872,21 @@ func BuildCallGraph(prog *asm.Program) *CallGraph {
 				w := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				onStack[w] = false
-				scc = append(scc, w)
+				scc = append(scc, prog.Procs[w].Name)
 				if w == v {
 					break
 				}
 			}
 			sort.Strings(scc)
+			for _, p := range scc {
+				cg.SCCOf[p] = len(cg.SCCs)
+			}
 			cg.SCCs = append(cg.SCCs, scc)
 		}
 	}
-	for _, p := range prog.Procs {
-		if _, seen := index[p.Name]; !seen {
-			strongconnect(p.Name)
+	for v := range prog.Procs {
+		if index[v] == 0 {
+			strongconnect(int32(v))
 		}
 	}
 	return cg

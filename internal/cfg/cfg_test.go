@@ -109,9 +109,9 @@ l2:
 endproc
 `)
 	var defs []DefID
-	pi.WalkDefs(func(idx int, reach map[Loc][]DefID) {
+	pi.WalkDefs(func(idx int, reach map[LocKey][]DefID) {
 		if idx == pi.Proc.Labels["l2"] {
-			defs = append([]DefID(nil), reach[RegLoc(asm.EDX)]...)
+			defs = append([]DefID(nil), reach[RegLoc(asm.EDX).Key()]...)
 		}
 	})
 	if len(defs) != 2 {
@@ -196,7 +196,7 @@ endproc
 	}
 	pi := Analyze(prog, prog.Procs[0])
 	found := false
-	for _, d := range pi.ReachEntry(0)[RegLoc(asm.EBX)] {
+	for _, d := range pi.ReachEntry(0)[RegLoc(asm.EBX).Key()] {
 		if d == DefID(0) {
 			found = true
 		}

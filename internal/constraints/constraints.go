@@ -64,8 +64,8 @@ func (d DTV) WithBase(base Var) DTV {
 	return DTV{ref: intern.DTVWithBase(d.ref, intern.Intern(string(base)))}
 }
 
-// withBaseSym is WithBase for an already-interned base.
-func (d DTV) withBaseSym(base intern.Sym) DTV {
+// WithBaseSym is WithBase for an already-interned base.
+func (d DTV) WithBaseSym(base intern.Sym) DTV {
 	return DTV{ref: intern.DTVWithBase(d.ref, base)}
 }
 
@@ -99,6 +99,11 @@ func (d DTV) PathRef() intern.WordRef { return intern.DTVWord(d.ref) }
 // Variance reports ⟨path⟩, the variance of d's label word, precomputed
 // at intern time.
 func (d DTV) Variance() label.Variance { return intern.DTVVariance(d.ref) }
+
+// Key reports d's interned handle as a dense integer: equal DTVs have
+// equal keys, so hot indexes pack it into integer map keys instead of
+// hashing the DTV struct. Keys are process-local, like the handle.
+func (d DTV) Key() uint32 { return uint32(d.ref) }
 
 // Equal reports structural equality; interning makes it d == e.
 func (d DTV) Equal(e DTV) bool { return d == e }
@@ -531,7 +536,7 @@ func (s *Set) SubstituteBases(f func(Var) Var) *Set {
 		if ny == y {
 			return d
 		}
-		return d.withBaseSym(ny)
+		return d.WithBaseSym(ny)
 	}
 	list := make([]Constraint, 0, len(s.list))
 	for _, c := range s.list {

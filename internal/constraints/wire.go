@@ -167,6 +167,9 @@ func DecodeSchemeWire(data []byte) (*Scheme, int, error) {
 		return nil, 0, fmt.Errorf("constraints: existential count %d exceeds wire form size", count)
 	}
 	sc := &Scheme{Root: Var(root), Constraints: cs}
+	if count > 0 {
+		sc.Existential = make([]Var, 0, count)
+	}
 	for i := uint64(0); i < count; i++ {
 		var v string
 		v, n, err = decStr(n, "existential variable")

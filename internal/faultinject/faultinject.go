@@ -47,7 +47,7 @@ const (
 
 // Plan triggers one fault at the Nth task (0-based) of a given phase.
 type Plan struct {
-	Phase string // "F.0", "cfg", "F.1", "F.2", "F.3"
+	Phase string // "F.0", "callgraph", "cfg", "F.1", "F.2", "F.3"
 	N     int    // fire on the N-th BeforeTask of Phase
 	Kind  Kind
 	// Cancel is invoked by Kind Cancel (required then, unused otherwise).

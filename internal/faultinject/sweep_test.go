@@ -53,7 +53,7 @@ func TestFaultSweep(t *testing.T) {
 	prog := sweepProg(t)
 	want := reference(t, prog, lat)
 
-	phases := []string{"F.0", "cfg", "F.1", "F.2", "F.3"}
+	phases := []string{"F.0", "callgraph", "cfg", "F.1", "F.2", "F.3"}
 	kinds := []struct {
 		name string
 		kind Kind
@@ -67,7 +67,13 @@ func TestFaultSweep(t *testing.T) {
 					leakcheck.Install(t)
 					eng := solver.NewEngine(0, 0)
 
-					plan := &Plan{Phase: phase, N: 1, Kind: k.kind, Delay: 150 * time.Millisecond}
+					// The call graph is one task; every other phase has many,
+					// so the fault lands mid-phase on the second.
+					n := 1
+					if phase == "callgraph" {
+						n = 0
+					}
+					plan := &Plan{Phase: phase, N: n, Kind: k.kind, Delay: 150 * time.Millisecond}
 					ctx := context.Background()
 					var cancel context.CancelFunc
 					switch k.kind {
@@ -165,38 +171,53 @@ func TestFaultSweep(t *testing.T) {
 	}
 }
 
-// TestReanalyzeAfterFault: a fault during Reanalyze leaves the previous
-// session current, and the next Reanalyze on the same engine matches a
-// from-scratch run byte for byte.
+// TestReanalyzeAfterFault: a fault during Reanalyze — in its own CFG
+// rebuild, its call graph, or a pipeline task — surfaces as an
+// *AnalysisError naming the phase (and, for cfg, the procedure), leaves
+// the previous session current, and the next Reanalyze on the same
+// engine matches a from-scratch run byte for byte.
 func TestReanalyzeAfterFault(t *testing.T) {
-	leakcheck.Install(t)
 	lat := lattice.Default()
 	prog := sweepProg(t)
 	want := reference(t, prog, lat)
 
-	eng := solver.NewEngine(0, 0)
-	if _, err := eng.InferContext(context.Background(), prog, lat, nil, solver.DefaultOptions()); err != nil {
-		t.Fatal(err)
-	}
+	for _, phase := range []string{"cfg", "callgraph", "F.2"} {
+		t.Run(phase, func(t *testing.T) {
+			leakcheck.Install(t)
+			eng := solver.NewEngine(0, 0)
+			if _, err := eng.InferContext(context.Background(), prog, lat, nil, solver.DefaultOptions()); err != nil {
+				t.Fatal(err)
+			}
 
-	plan := &Plan{Phase: "F.2", N: 0, Kind: Panic}
-	opts := solver.DefaultOptions()
-	opts.SchedHooks = plan.Hooks()
-	if _, err := eng.ReanalyzeContext(context.Background(), prog, lat, nil, opts); err == nil {
-		t.Fatal("injected panic did not surface from ReanalyzeContext")
-	} else if !errors.Is(err, ErrInjected) {
-		t.Fatalf("err = %v, want ErrInjected", err)
-	}
+			plan := &Plan{Phase: phase, N: 0, Kind: Panic}
+			opts := solver.DefaultOptions()
+			opts.SchedHooks = plan.Hooks()
+			_, err := eng.ReanalyzeContext(context.Background(), prog, lat, nil, opts)
+			var ae *solver.AnalysisError
+			switch {
+			case err == nil:
+				t.Fatal("injected panic did not surface from ReanalyzeContext")
+			case !errors.Is(err, ErrInjected):
+				t.Fatalf("err = %v, want ErrInjected", err)
+			case !errors.As(err, &ae):
+				t.Fatalf("err = %v (%T), want *solver.AnalysisError", err, err)
+			case ae.Phase != phase:
+				t.Errorf("AnalysisError.Phase = %q, want %q", ae.Phase, phase)
+			case phase == "cfg" && ae.Proc == "":
+				t.Error("cfg-phase AnalysisError names no procedure")
+			}
 
-	res, err := eng.ReanalyzeContext(context.Background(), prog, lat, nil, solver.DefaultOptions())
-	if err != nil {
-		t.Fatalf("engine unusable after faulted Reanalyze: %v", err)
-	}
-	if dumps(res) != want {
-		t.Fatal("post-fault Reanalyze differs from reference")
-	}
-	if res.ReplayedProcs == 0 {
-		t.Error("post-fault Reanalyze replayed nothing: faulted run clobbered the session")
+			res, err := eng.ReanalyzeContext(context.Background(), prog, lat, nil, solver.DefaultOptions())
+			if err != nil {
+				t.Fatalf("engine unusable after faulted Reanalyze: %v", err)
+			}
+			if dumps(res) != want {
+				t.Fatal("post-fault Reanalyze differs from reference")
+			}
+			if res.ReplayedProcs == 0 {
+				t.Error("post-fault Reanalyze replayed nothing: faulted run clobbered the session")
+			}
+		})
 	}
 }
 

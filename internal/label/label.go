@@ -18,6 +18,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Variance is an element of the sign monoid {⊕, ⊖}.
@@ -58,22 +60,91 @@ const (
 )
 
 // Label is a single element of Σ. The zero value is not a valid label;
-// use the constructors below.
+// use the constructors below. A Label holds only integers — the
+// location name of .in/.out is interned into the package's location
+// table — so it compares and hashes as a small tuple of ints.
 type Label struct {
 	kind Kind
-	// loc names the parameter/return location for KIn/KOut
-	// (e.g. "stack0", "eax").
-	loc string
+	// loc is the interned id of the parameter/return location name for
+	// KIn/KOut (e.g. "stack0", "eax"); see internLoc.
+	loc uint32
 	// bits and off carry the σN@k payload for KField.
 	bits int
 	off  int
 }
 
+// locTable interns location names. Ids are process-local and never
+// leave the process: the wire form and every ordering use the name.
+// The read path takes no lock: name → id probes an immutable map
+// snapshot, id → name indexes an append-only slice whose header is
+// republished after each first-time intern. Misses fall back to the
+// authoritative map under mu, and the snapshot is rebuilt once the
+// misses since the last rebuild reach the table size, so rebuild
+// copying stays amortized O(1) per intern.
+var locTable struct {
+	read  atomic.Pointer[map[string]uint32]
+	names atomic.Pointer[[]string]
+
+	mu     sync.Mutex
+	auth   map[string]uint32 // every name, guarded by mu
+	misses int               // locked lookups since the last rebuild, guarded by mu
+}
+
+func init() {
+	names := []string{""}
+	locTable.names.Store(&names)
+	locTable.auth = map[string]uint32{"": 0}
+	snap := map[string]uint32{"": 0}
+	locTable.read.Store(&snap)
+}
+
+// internLoc returns the id of loc, assigning the next one on first use.
+func internLoc(loc string) uint32 {
+	if id, ok := (*locTable.read.Load())[loc]; ok {
+		return id
+	}
+	return internLocSlow(loc)
+}
+
+// internLocBytes is internLoc for a byte slice; a name already in the
+// snapshot is found without allocating a string.
+func internLocBytes(b []byte) uint32 {
+	if id, ok := (*locTable.read.Load())[string(b)]; ok {
+		return id
+	}
+	return internLocSlow(string(b))
+}
+
+func internLocSlow(loc string) uint32 {
+	locTable.mu.Lock()
+	defer locTable.mu.Unlock()
+	id, ok := locTable.auth[loc]
+	if !ok {
+		names := *locTable.names.Load()
+		id = uint32(len(names))
+		names = append(names, loc)
+		locTable.names.Store(&names)
+		locTable.auth[loc] = id
+	}
+	if locTable.misses++; locTable.misses >= len(locTable.auth) {
+		snap := make(map[string]uint32, len(locTable.auth))
+		for k, v := range locTable.auth {
+			snap[k] = v
+		}
+		locTable.read.Store(&snap)
+		locTable.misses = 0
+	}
+	return id
+}
+
+// locName resolves an interned location id.
+func locName(id uint32) string { return (*locTable.names.Load())[id] }
+
 // In returns the input-capability label .in_loc.
-func In(loc string) Label { return Label{kind: KIn, loc: loc} }
+func In(loc string) Label { return Label{kind: KIn, loc: internLoc(loc)} }
 
 // Out returns the output-capability label .out_loc.
-func Out(loc string) Label { return Label{kind: KOut, loc: loc} }
+func Out(loc string) Label { return Label{kind: KOut, loc: internLoc(loc)} }
 
 // Load is the readable-pointer label .load.
 func Load() Label { return Label{kind: KLoad} }
@@ -88,7 +159,7 @@ func Field(bits, off int) Label { return Label{kind: KField, bits: bits, off: of
 func (l Label) Kind() Kind { return l.kind }
 
 // Loc reports the location name of an in/out label ("" otherwise).
-func (l Label) Loc() string { return l.loc }
+func (l Label) Loc() string { return locName(l.loc) }
 
 // Bits reports the field width of a σN@k label (0 otherwise).
 func (l Label) Bits() int { return l.bits }
@@ -128,9 +199,9 @@ func (l Label) PointerDual() Label {
 func (l Label) String() string {
 	switch l.kind {
 	case KIn:
-		return "in_" + l.loc
+		return "in_" + locName(l.loc)
 	case KOut:
-		return "out_" + l.loc
+		return "out_" + locName(l.loc)
 	case KLoad:
 		return "load"
 	case KStore:
@@ -175,14 +246,19 @@ func Parse(s string) (Label, error) {
 }
 
 // Compare imposes a deterministic total order on labels, used to keep
-// printed constraint sets and sketches stable.
+// printed constraint sets and sketches stable. In/out labels order by
+// location name, never by interned id, so the order does not depend on
+// which names a process happened to intern first.
 func Compare(a, b Label) int {
 	if a.kind != b.kind {
 		return int(a.kind) - int(b.kind)
 	}
 	switch a.kind {
 	case KIn, KOut:
-		return strings.Compare(a.loc, b.loc)
+		if a.loc == b.loc {
+			return 0
+		}
+		return strings.Compare(locName(a.loc), locName(b.loc))
 	case KField:
 		if a.off != b.off {
 			return a.off - b.off

@@ -1,6 +1,8 @@
 package label
 
 import (
+	"strconv"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -114,6 +116,62 @@ func TestCompareTotalOrder(t *testing.T) {
 			if Compare(a, b) != -Compare(b, a) {
 				t.Errorf("antisymmetry violated for %s,%s", a, b)
 			}
+		}
+	}
+}
+
+// TestInternLocConcurrent: goroutines interning the same location
+// names at once agree on every label, and each label renders its own
+// name back.
+func TestInternLocConcurrent(t *testing.T) {
+	const goroutines, names = 8, 300
+	got := make([][]Label, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			ls := make([]Label, names)
+			for i := range ls {
+				// Each goroutine walks the names from a different start.
+				k := (i + g*37) % names
+				ls[k] = In("concurrent_loc" + strconv.Itoa(k))
+			}
+			got[g] = ls
+		}(g)
+	}
+	wg.Wait()
+	for k := 0; k < names; k++ {
+		want := "concurrent_loc" + strconv.Itoa(k)
+		for g := 0; g < goroutines; g++ {
+			if got[g][k] != got[0][k] {
+				t.Fatalf("goroutines 0 and %d interned %q differently", g, want)
+			}
+			if loc := got[g][k].Loc(); loc != want {
+				t.Fatalf("goroutine %d: Loc() = %q, want %q", g, loc, want)
+			}
+		}
+	}
+}
+
+// TestSortLabelsByLocName: in/out labels order by location name, not by
+// interning order, so in_stack10 sorts before in_stack4 even when
+// stack4 was interned first.
+func TestSortLabelsByLocName(t *testing.T) {
+	late := In("sortcheck_stack4")   // interned first: the smaller id
+	early := In("sortcheck_stack10") // interned second: the larger id
+	for _, tc := range []struct{ first, second Label }{
+		{In("stack10"), In("stack4")},
+		{early, late},
+		{Out("stack10"), Out("stack4")},
+	} {
+		ls := []Label{tc.second, tc.first}
+		SortLabels(ls)
+		if ls[0] != tc.first || ls[1] != tc.second {
+			t.Errorf("SortLabels = [%s %s], want [%s %s]", ls[0], ls[1], tc.first, tc.second)
+		}
+		if Compare(tc.first, tc.second) >= 0 || Compare(tc.second, tc.first) <= 0 {
+			t.Errorf("Compare(%s, %s) disagrees with name order", tc.first, tc.second)
 		}
 	}
 }

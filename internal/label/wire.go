@@ -28,8 +28,9 @@ func AppendWire(buf []byte, l Label) []byte {
 	buf = append(buf, byte(l.kind))
 	switch l.kind {
 	case KIn, KOut:
-		buf = binary.AppendUvarint(buf, uint64(len(l.loc)))
-		buf = append(buf, l.loc...)
+		loc := locName(l.loc)
+		buf = binary.AppendUvarint(buf, uint64(len(loc)))
+		buf = append(buf, loc...)
 	case KField:
 		buf = binary.AppendVarint(buf, int64(l.bits))
 		buf = binary.AppendVarint(buf, int64(l.off))
@@ -52,7 +53,7 @@ func DecodeWire(data []byte) (Label, int, error) {
 			return Label{}, 0, fmt.Errorf("label: truncated location in wire form")
 		}
 		n += m
-		loc := string(data[n : n+int(ln)])
+		loc := internLocBytes(data[n : n+int(ln)])
 		n += int(ln)
 		return Label{kind: k, loc: loc}, n, nil
 	case KLoad, KStore:

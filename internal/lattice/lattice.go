@@ -19,7 +19,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -251,6 +251,15 @@ func BySignature(sig string) (*Lattice, bool) {
 	return l, ok
 }
 
+// BySignatureBytes is BySignature for a signature still in its wire
+// bytes (no string is materialized).
+func BySignatureBytes(sig []byte) (*Lattice, bool) {
+	regMu.RLock()
+	l, ok := registry[string(sig)]
+	regMu.RUnlock()
+	return l, ok
+}
+
 // Signature returns a content hash identifying the lattice: two
 // lattices with equal signatures have the same elements and ordering.
 // Caches keyed on constraint-set fingerprints mix it in so entries
@@ -312,6 +321,13 @@ func (l *Lattice) Elem(name string) (Elem, bool) {
 	return e, ok
 }
 
+// ElemBytes is Elem for a name still in its wire bytes (no string is
+// materialized).
+func (l *Lattice) ElemBytes(name []byte) (Elem, bool) {
+	e, ok := l.index[string(name)]
+	return e, ok
+}
+
 // ElemSym is Elem for an already-interned name: the constant test used
 // by the solver's hot paths, with no string materialization.
 func (l *Lattice) ElemSym(y intern.Sym) (Elem, bool) {
@@ -362,6 +378,9 @@ func (l *Lattice) MeetAll(elems ...Elem) Elem {
 // comparable pairs are merged by keeping the smaller element, as used by
 // the union-type policy (Example 4.2).
 func (l *Lattice) Antichain(elems []Elem) []Elem {
+	if len(elems) == 0 {
+		return nil
+	}
 	var out []Elem
 	for _, e := range elems {
 		keep := true
@@ -380,7 +399,7 @@ func (l *Lattice) Antichain(elems []Elem) []Elem {
 			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -27,8 +27,8 @@
 // the label dualized, to (q,⊕). That variance flip is exactly what
 // produces the dashed x.store⊕ → y.load⊕ edge of Figure 14.
 //
-// Nodes are indexed by their interned (DTV, variance) pair — a 5-byte
-// comparable key — and the Graph itself is pooled: Build draws a
+// Nodes are indexed by one packed integer, uint64(dtv)<<1 | variance,
+// over the interned DTV handle, and the Graph itself is pooled: Build draws a
 // recycled Graph whose node/edge storage and saturation scratch retain
 // their previous capacity, and Release returns it once the caller is
 // done. The solver releases one graph per SCC (phase F.1) and one per
@@ -54,17 +54,23 @@ type Node struct {
 	Var label.Variance
 }
 
-// nodeKey is the interned identity of (dtv, variance).
-type nodeKey struct {
-	d constraints.DTV
-	v label.Variance
+// nodeKey packs (d, v) into the integer that keys Graph.index.
+func nodeKey(d constraints.DTV, v label.Variance) uint64 {
+	k := uint64(d.Key()) << 1
+	if v == label.Covariant {
+		k |= 1
+	}
+	return k
 }
 
+// noConst marks a constOf entry whose node is not a lattice constant.
+const noConst lattice.Elem = -1
+
 // edge is a labeled pop/push edge. lid is the label's dense per-graph
-// id (see labelID), which is what the saturation fixpoint compares and
-// packs into reach keys instead of the full Label value.
+// id (see labelID; the label is lbls[lid]), which is what the
+// saturation fixpoint compares and packs into reach keys instead of
+// the full Label value.
 type edge struct {
-	lbl label.Label
 	lid uint32
 	to  NodeID
 }
@@ -74,16 +80,16 @@ type Graph struct {
 	lat *lattice.Lattice
 
 	nodes []Node
-	index map[nodeKey]NodeID
+	index map[uint64]NodeID // keyed by nodeKey
 
 	eps    [][]NodeID // ε successors
 	epsSet map[int64]struct{}
 	pops   [][]edge // pop successors (label read)
 	pushes [][]edge // push successors (label emitted)
 
-	// constVars maps nodes that are lattice constants used covariantly
-	// ((κ,⊕)) to their lattice element.
-	constOf map[NodeID]lattice.Elem
+	// constOf[n] is the lattice element of node n when n is a lattice
+	// constant used covariantly ((κ,⊕)), noConst otherwise.
+	constOf []lattice.Elem
 
 	saturated bool
 
@@ -102,17 +108,21 @@ type Graph struct {
 	// allocation-light and cache-friendly.
 	satReach   [][]uint64
 	satScratch []uint64 // merge buffer, swapped with grown sets
-	satWork    []NodeID
-	satIn      []bool
+
+	// Simplify scratch, retained across pool cycles: phase-state marks
+	// and the reverse ε/pop/push adjacency.
+	simpMarks                           []bool
+	simpRevEps, simpRevPop, simpRevPush revAdj
+	satWork                             []NodeID
+	satIn                               []bool
 }
 
 // graphPool recycles Graphs between Build/Release cycles.
 var graphPool = sync.Pool{New: func() any {
 	return &Graph{
-		index:   map[nodeKey]NodeID{},
-		epsSet:  map[int64]struct{}{},
-		constOf: map[NodeID]lattice.Elem{},
-		lblOf:   map[label.Label]uint32{},
+		index:  map[uint64]NodeID{},
+		epsSet: map[int64]struct{}{},
+		lblOf:  map[label.Label]uint32{},
 	}
 }}
 
@@ -140,7 +150,7 @@ func (g *Graph) reset(lat *lattice.Lattice) {
 	g.nodes = g.nodes[:0]
 	clear(g.index)
 	clear(g.epsSet)
-	clear(g.constOf)
+	g.constOf = g.constOf[:0]
 	g.eps = resetNested(g.eps)
 	g.pops = resetNested(g.pops)
 	g.pushes = resetNested(g.pushes)
@@ -208,12 +218,13 @@ func (g *Graph) registerDTV(d constraints.DTV) {
 // node interns (d, v), creating prefix nodes and pop/push edges on the
 // way, plus pointer-sibling nodes for load/store.
 func (g *Graph) node(d constraints.DTV, v label.Variance) NodeID {
-	key := nodeKey{d: d, v: v}
+	key := nodeKey(d, v)
 	if id, ok := g.index[key]; ok {
 		return id
 	}
 	id := NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, Node{DTV: d, Var: v})
+	g.constOf = append(g.constOf, noConst)
 	g.index[key] = id
 	g.eps = growNested(g.eps)
 	g.pops = growNested(g.pops)
@@ -225,8 +236,8 @@ func (g *Graph) node(d constraints.DTV, v label.Variance) NodeID {
 		pv := v.Mul(last.Variance())
 		pid := g.node(parent, pv)
 		lid := g.labelID(last)
-		g.pops[pid] = append(g.pops[pid], edge{lbl: last, lid: lid, to: id})
-		g.pushes[id] = append(g.pushes[id], edge{lbl: last, lid: lid, to: pid})
+		g.pops[pid] = append(g.pops[pid], edge{lid: lid, to: id})
+		g.pushes[id] = append(g.pushes[id], edge{lid: lid, to: pid})
 		if last.IsPointerAccess() {
 			// Pointer-sibling completion: α.load ⇒ α.store and vice
 			// versa, in the dual variance (load is ⊕, store is ⊖).
@@ -242,7 +253,7 @@ func (g *Graph) node(d constraints.DTV, v label.Variance) NodeID {
 
 // NodeOf looks up (d, v) without creating it.
 func (g *Graph) NodeOf(d constraints.DTV, v label.Variance) (NodeID, bool) {
-	id, ok := g.index[nodeKey{d: d, v: v}]
+	id, ok := g.index[nodeKey(d, v)]
 	return id, ok
 }
 
@@ -460,32 +471,21 @@ func (g *Graph) EpsSucc(id NodeID) []NodeID { return g.eps[id] }
 // PopSucc invokes f for each pop edge out of id.
 func (g *Graph) PopSucc(id NodeID, f func(l label.Label, to NodeID)) {
 	for _, e := range g.pops[id] {
-		f(e.lbl, e.to)
+		f(g.lbls[e.lid], e.to)
 	}
 }
 
 // PushSucc invokes f for each push edge out of id.
 func (g *Graph) PushSucc(id NodeID, f func(l label.Label, to NodeID)) {
 	for _, e := range g.pushes[id] {
-		f(e.lbl, e.to)
+		f(g.lbls[e.lid], e.to)
 	}
-}
-
-// ConstNodes returns the covariant nodes of lattice constants, sorted by
-// node id for determinism.
-func (g *Graph) ConstNodes() []NodeID {
-	out := make([]NodeID, 0, len(g.constOf))
-	for id := range g.constOf {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // ConstElem reports the lattice element of a constant node.
 func (g *Graph) ConstElem(id NodeID) (lattice.Elem, bool) {
-	e, ok := g.constOf[id]
-	return e, ok
+	e := g.constOf[id]
+	return e, e != noConst
 }
 
 // Proves decides whether the constraint set entails l ⊑ r, by searching
@@ -499,23 +499,24 @@ func (g *Graph) Proves(l, r constraints.DTV) bool {
 	lPath, rPath := l.Path(), r.Path()
 
 	// Phase 0: consume l.Path via pop edges, ε edges allowed anywhere.
+	// A state is (node, labels consumed); seen is a bitset over
+	// node*(|l.Path|+1)+consumed.
 	start, ok := g.NodeOf(constraints.BaseDTV(l.Base()), lPath.Variance())
 	if !ok {
 		return false
 	}
-	type popState struct {
+	type state struct {
 		n NodeID
 		i int
 	}
-	seen := map[popState]bool{}
-	var stack []popState
-	push0 := func(s popState) {
-		if !seen[s] {
-			seen[s] = true
+	var stack []state
+	seen := newBitset(len(g.nodes) * (len(lPath) + 1))
+	push0 := func(s state) {
+		if seen.set(int(s.n)*(len(lPath)+1) + s.i) {
 			stack = append(stack, s)
 		}
 	}
-	push0(popState{start, 0})
+	push0(state{start, 0})
 	var frontier []NodeID // states with the full l.Path consumed
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
@@ -524,13 +525,13 @@ func (g *Graph) Proves(l, r constraints.DTV) bool {
 			frontier = append(frontier, s.n)
 		}
 		for _, succ := range g.eps[s.n] {
-			push0(popState{succ, s.i})
+			push0(state{succ, s.i})
 		}
 		if s.i < len(lPath) {
 			want := lPath[s.i]
 			for _, e := range g.pops[s.n] {
-				if e.lbl == want {
-					push0(popState{e.to, s.i + 1})
+				if g.lbls[e.lid] == want {
+					push0(state{e.to, s.i + 1})
 				}
 			}
 		}
@@ -540,43 +541,54 @@ func (g *Graph) Proves(l, r constraints.DTV) bool {
 	}
 
 	// Phase 1: emit r.Path via push edges; push edges emit the word
-	// back-to-front (deepest label last stripped), so k counts down.
+	// back-to-front (deepest label last stripped), so the count of
+	// labels still to emit goes down. seen is reused as a bitset over
+	// node*(|r.Path|+1)+remaining.
 	goal, ok := g.NodeOf(constraints.BaseDTV(r.Base()), rPath.Variance())
 	if !ok {
 		return false
 	}
-	type pushState struct {
-		n NodeID
-		k int
-	}
-	seen1 := map[pushState]bool{}
-	var stack1 []pushState
-	push1 := func(s pushState) {
-		if !seen1[s] {
-			seen1[s] = true
-			stack1 = append(stack1, s)
+	seen = newBitset(len(g.nodes) * (len(rPath) + 1))
+	push1 := func(s state) {
+		if seen.set(int(s.n)*(len(rPath)+1) + s.i) {
+			stack = append(stack, s)
 		}
 	}
 	for _, n := range frontier {
-		push1(pushState{n, len(rPath)})
+		push1(state{n, len(rPath)})
 	}
-	for len(stack1) > 0 {
-		s := stack1[len(stack1)-1]
-		stack1 = stack1[:len(stack1)-1]
-		if s.k == 0 && s.n == goal {
+	for len(stack) > 0 {
+		s := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if s.i == 0 && s.n == goal {
 			return true
 		}
 		for _, succ := range g.eps[s.n] {
-			push1(pushState{succ, s.k})
+			push1(state{succ, s.i})
 		}
-		if s.k > 0 {
-			want := rPath[s.k-1]
+		if s.i > 0 {
+			want := rPath[s.i-1]
 			for _, e := range g.pushes[s.n] {
-				if e.lbl == want {
-					push1(pushState{e.to, s.k - 1})
+				if g.lbls[e.lid] == want {
+					push1(state{e.to, s.i - 1})
 				}
 			}
 		}
 	}
 	return false
+}
+
+// bitset is a fixed-size set of small non-negative integers.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+// set adds i, reporting whether it was absent.
+func (b bitset) set(i int) bool {
+	w, m := i>>6, uint64(1)<<(i&63)
+	if b[w]&m != 0 {
+		return false
+	}
+	b[w] |= m
+	return true
 }

@@ -281,3 +281,27 @@ func TestProvesConstants(t *testing.T) {
 	assertProves(t, g, "int", "y")
 	assertProves(t, g, "x", "y")
 }
+
+// TestNodeOfAbsent: NodeOf reports false for a DTV the graph never saw
+// and for a present DTV under the variance it was not created with, so
+// the packed (DTV, variance) key never aliases a neighbouring entry.
+func TestNodeOfAbsent(t *testing.T) {
+	a := constraints.BaseDTV("nodeof_a")
+	b := constraints.BaseDTV("nodeof_b") // interned next to a
+	g := graphPool.Get().(*Graph)
+	g.reset(lattice.Default())
+	defer g.Release()
+	id := g.node(a, label.Covariant)
+
+	if got, ok := g.NodeOf(a, label.Covariant); !ok || got != id {
+		t.Fatalf("NodeOf(a, ⊕) = %d, %v; want %d, true", got, ok, id)
+	}
+	if _, ok := g.NodeOf(a, label.Contravariant); ok {
+		t.Error("NodeOf(a, ⊖) found a node that was never created")
+	}
+	for _, v := range []label.Variance{label.Covariant, label.Contravariant} {
+		if _, ok := g.NodeOf(b, v); ok {
+			t.Errorf("NodeOf(b, %s) found a node for an absent DTV", v)
+		}
+	}
+}

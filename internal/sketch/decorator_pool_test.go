@@ -54,3 +54,54 @@ func TestDecoratorPoolReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestDecoratorReuseMatchesFresh: one Decorator reused on a large graph
+// and then on a small one decorates the small sketch exactly like a
+// fresh decorator, and every walk leaves its seen bitset all zero, so
+// no stale (state, node) bit survives into the next walk.
+func TestDecoratorReuseMatchesFresh(t *testing.T) {
+	const large = `
+		F.in_stack0 <= A
+		A.load.σ32@0 <= B
+		B <= int
+		A.load.σ32@4 <= C
+		C <= uint
+		A.load.σ32@8 <= A
+		F.in_stack4 <= D
+		D.store.σ8@0 <= E
+		num8 <= E
+		G.in_stack0 <= A
+		F.out_eax <= int
+	`
+	const small = `
+		F.in_stack0 <= P
+		P <= int
+		F.out_eax <= uint
+	`
+	lat := lattice.Default()
+	decorate := func(d *Decorator, src string) string {
+		cs := constraints.MustParseSet(src)
+		sh := NewBuilder(cs, lat)
+		defer sh.Release()
+		g := pgraph.Build(cs, lat)
+		defer g.Release()
+		d.reset(g)
+		sk := sh.SketchFor("F", -1)
+		d.Decorate(sk, "F")
+		for i, w := range d.seen {
+			if w != 0 {
+				t.Fatalf("seen word %d = %#x after Decorate, want 0", i, w)
+			}
+		}
+		return sk.String()
+	}
+	want := decorate(&Decorator{}, small)
+	reused := &Decorator{}
+	decorate(reused, large)
+	if len(reused.seen) == 0 {
+		t.Fatal("large decoration grew no seen bitset")
+	}
+	if got := decorate(reused, small); got != want {
+		t.Fatalf("reused decorator diverged from fresh:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}

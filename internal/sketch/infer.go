@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"sort"
 	"sync"
 
 	"retypd/internal/constraints"
@@ -17,8 +18,9 @@ import (
 //
 // Builder is one half of the phase-2 split between mutable scratch and
 // immutable results: the Builder owns all pooled storage (classes are
-// indexed by the interned DTV handle; NewBuilder draws a recycled
-// Builder whose union-find arrays and edge maps retain their previous
+// indexed by the interned DTV handle, class edges are short lists keyed
+// by dense per-Builder label ids; NewBuilder draws a recycled Builder
+// whose union-find arrays and edge lists retain their previous
 // capacity, and Release returns it), while the sketches it extracts
 // (SketchFor) share none of that storage and become the immutable,
 // cache-shareable result once sealed (Sketch.Seal). The solver releases
@@ -28,19 +30,42 @@ type Builder struct {
 	lat    *lattice.Lattice
 	parent []int32
 	rank   []int8
-	edges  []map[label.Label]int32 // valid on representatives
-	flags  []Flags                 // valid on representatives
-	seeds  []lattice.Elem          // join of constants unioned in (repr)
+	edges  [][]classEdge  // valid on representatives
+	flags  []Flags        // valid on representatives
+	seeds  []lattice.Elem // join of constants unioned in (repr)
 	nodeOf map[constraints.DTV]int32
 	dtvs   []constraints.DTV
-	// freeMaps holds cleared edge maps harvested on reset and on
-	// union-find merges, handed back out by newEdgeMap.
-	freeMaps []map[label.Label]int32
+
+	// lblOf/lbls assign dense per-Builder label ids, reset per
+	// NewBuilder. Ids 0 and 1 are always .load and .store, so pointer
+	// conflation tests integer ids.
+	lblOf map[label.Label]uint32
+	lbls  []label.Label
+
+	// index is sketchFor's scratch: packed (class, variance, depth)
+	// keys to sketch state ids.
+	index map[uint64]int
 }
+
+// classEdge is one labeled edge out of a class: the label's dense id
+// and the target node.
+type classEdge struct {
+	lid uint32
+	to  int32
+}
+
+const (
+	lidLoad  uint32 = 0
+	lidStore uint32 = 1
+)
 
 // builderPool recycles Builders between NewBuilder/Release cycles.
 var builderPool = sync.Pool{New: func() any {
-	return &Builder{nodeOf: map[constraints.DTV]int32{}}
+	return &Builder{
+		nodeOf: map[constraints.DTV]int32{},
+		lblOf:  map[label.Label]uint32{},
+		index:  map[uint64]int{},
+	}
 }}
 
 // reset prepares a pooled Builder for a fresh inference.
@@ -52,14 +77,36 @@ func (sh *Builder) reset(lat *lattice.Lattice) {
 	sh.seeds = sh.seeds[:0]
 	sh.dtvs = sh.dtvs[:0]
 	clear(sh.nodeOf)
-	for i, m := range sh.edges {
-		if m != nil {
-			clear(m)
-			sh.freeMaps = append(sh.freeMaps, m)
-			sh.edges[i] = nil
-		}
+	for i := range sh.edges {
+		sh.edges[i] = sh.edges[i][:0]
 	}
 	sh.edges = sh.edges[:0]
+	clear(sh.lblOf)
+	sh.lbls = append(sh.lbls[:0], label.Load(), label.Store())
+	sh.lblOf[label.Load()] = lidLoad
+	sh.lblOf[label.Store()] = lidStore
+}
+
+// labelID returns l's dense per-Builder id, assigning the next one on
+// first use.
+func (sh *Builder) labelID(l label.Label) uint32 {
+	if id, ok := sh.lblOf[l]; ok {
+		return id
+	}
+	id := uint32(len(sh.lbls))
+	sh.lbls = append(sh.lbls, l)
+	sh.lblOf[l] = id
+	return id
+}
+
+// edgeTo returns the target of class c's edge labeled lid.
+func (sh *Builder) edgeTo(c int32, lid uint32) (int32, bool) {
+	for _, e := range sh.edges[c] {
+		if e.lid == lid {
+			return e.to, true
+		}
+	}
+	return 0, false
 }
 
 // Release returns the Builder to the package pool. The caller must not
@@ -68,18 +115,6 @@ func (sh *Builder) reset(lat *lattice.Lattice) {
 // Builder.
 func (sh *Builder) Release() {
 	builderPool.Put(sh)
-}
-
-// newEdgeMap hands out a cleared recycled edge map when one is
-// available.
-func (sh *Builder) newEdgeMap() map[label.Label]int32 {
-	if n := len(sh.freeMaps); n > 0 {
-		m := sh.freeMaps[n-1]
-		sh.freeMaps[n-1] = nil
-		sh.freeMaps = sh.freeMaps[:n-1]
-		return m
-	}
-	return map[label.Label]int32{}
 }
 
 // NewBuilder builds the quotient graph for cs, applies the additive
@@ -142,7 +177,11 @@ func (sh *Builder) node(d constraints.DTV) int32 {
 	id := int32(len(sh.parent))
 	sh.parent = append(sh.parent, id)
 	sh.rank = append(sh.rank, 0)
-	sh.edges = append(sh.edges, nil)
+	if n := len(sh.edges); n < cap(sh.edges) {
+		sh.edges = sh.edges[:n+1] // re-expose a recycled list
+	} else {
+		sh.edges = append(sh.edges, nil)
+	}
 	sh.flags = append(sh.flags, 0)
 	sh.seeds = append(sh.seeds, sh.lat.Bottom())
 	sh.nodeOf[d] = id
@@ -150,17 +189,16 @@ func (sh *Builder) node(d constraints.DTV) int32 {
 
 	if parent, last, ok := d.Parent(); ok {
 		pid := sh.find(sh.node(parent))
-		if sh.edges[pid] == nil {
-			sh.edges[pid] = sh.newEdgeMap()
-		}
-		if prev, exists := sh.edges[pid][last]; exists {
+		lid := sh.labelID(last)
+		if prev, exists := sh.edgeTo(pid, lid); exists {
 			sh.union(prev, id)
 		} else {
-			sh.edges[pid][last] = id
+			sh.edges[pid] = append(sh.edges[pid], classEdge{lid: lid, to: id})
 			// S-POINTER conflation: a class's .load and .store children
-			// coincide.
-			if last.IsPointerAccess() {
-				if sib, ok := sh.edges[pid][last.PointerDual()]; ok {
+			// coincide. Their ids are 0 and 1, so the dual flips the
+			// low bit.
+			if lid <= lidStore {
+				if sib, ok := sh.edgeTo(pid, lid^1); ok {
 					sh.union(sib, id)
 				}
 			}
@@ -199,34 +237,25 @@ func (sh *Builder) union(a, b int32) {
 		sh.parent[rb] = ra
 		sh.flags[ra] |= sh.flags[rb]
 		sh.seeds[ra] = sh.lat.Join(sh.seeds[ra], sh.seeds[rb])
-		// Merge edge maps with congruence.
-		loser := sh.edges[rb]
-		sh.edges[rb] = nil
-		if len(loser) > 0 && sh.edges[ra] == nil {
-			// The winner had no edges: adopt the loser's map wholesale.
-			sh.edges[ra] = loser
-			loser = nil
-		}
-		//retypd:unordered congruence closure is confluent: the work queue only
-		// schedules unifications, and the final partition and edge structure
-		// are the same least fixed point whatever order they run in
-		for l, t := range loser {
-			if prev, ok := sh.edges[ra][l]; ok {
-				work = append(work, job{prev, t})
-			} else {
-				sh.edges[ra][l] = t
+		// Merge edge lists with congruence.
+		if len(sh.edges[ra]) == 0 {
+			// The winner had no edges: adopt the loser's list wholesale,
+			// keeping the winner's empty storage on the dead class.
+			sh.edges[ra], sh.edges[rb] = sh.edges[rb], sh.edges[ra]
+		} else {
+			for _, e := range sh.edges[rb] {
+				if prev, ok := sh.edgeTo(ra, e.lid); ok {
+					work = append(work, job{prev, e.to})
+				} else {
+					sh.edges[ra] = append(sh.edges[ra], e)
+				}
 			}
-		}
-		if loser != nil {
-			clear(loser)
-			sh.freeMaps = append(sh.freeMaps, loser)
+			sh.edges[rb] = sh.edges[rb][:0]
 		}
 		// Pointer conflation on the merged class.
-		if m := sh.edges[ra]; m != nil {
-			if lo, ok1 := m[label.Load()]; ok1 {
-				if st, ok2 := m[label.Store()]; ok2 {
-					work = append(work, job{lo, st})
-				}
+		if lo, ok1 := sh.edgeTo(ra, lidLoad); ok1 {
+			if st, ok2 := sh.edgeTo(ra, lidStore); ok2 {
+				work = append(work, job{lo, st})
 			}
 		}
 	}
@@ -245,10 +274,11 @@ func (sh *Builder) classOf(d constraints.DTV) int32 {
 // outgoing l edge.
 func (sh *Builder) HasCapability(d constraints.DTV, l label.Label) bool {
 	c := sh.classOf(d)
-	if c < 0 {
+	lid, known := sh.lblOf[l]
+	if c < 0 || !known {
 		return false
 	}
-	_, ok := sh.edges[c][l]
+	_, ok := sh.edgeTo(c, lid)
 	return ok
 }
 
@@ -274,11 +304,8 @@ func (sh *Builder) applyAdditive(cs *constraints.Set) {
 	}
 	for i := range sh.parent {
 		r := sh.find(int32(i))
-		if m := sh.edges[r]; m != nil {
-			if _, ok := m[label.Load()]; ok {
-				sh.flags[r] |= FlagPointer
-			}
-			if _, ok := m[label.Store()]; ok {
+		for _, e := range sh.edges[r] {
+			if e.lid <= lidStore {
 				sh.flags[r] |= FlagPointer
 			}
 		}
@@ -403,13 +430,17 @@ func (sh *Builder) sketchFor(v constraints.Var, maxDepth int, unifyMarks bool) *
 		v     label.Variance
 		depth int
 	}
-	index := map[key]int{}
+	index := sh.index
+	clear(index)
 	var build func(k key) int
 	build = func(k key) int {
 		// Depth participates in identity only when truncating.
-		ik := k
-		if maxDepth < 0 {
-			ik.depth = 0
+		ik := uint64(k.class) << 32
+		if maxDepth >= 0 {
+			ik |= uint64(k.depth) << 1
+		}
+		if k.v == label.Covariant {
+			ik |= 1
 		}
 		if id, ok := index[ik]; ok {
 			return id
@@ -437,15 +468,16 @@ func (sh *Builder) sketchFor(v constraints.Var, maxDepth int, unifyMarks bool) *
 		if maxDepth >= 0 && k.depth >= maxDepth {
 			return id
 		}
-		m := sh.edges[cls]
-		var ls []label.Label
-		for l := range m {
-			ls = append(ls, l)
-		}
-		label.SortLabels(ls)
-		var edges []Edge
-		for _, l := range ls {
-			child := key{class: sh.find(m[l]), v: k.v.Mul(l.Variance()), depth: k.depth + 1}
+		// Sorting the class's list in place is harmless: lookups scan
+		// it, and its labels are distinct, so re-sorting is a no-op.
+		out := sh.edges[cls]
+		sort.Slice(out, func(i, j int) bool {
+			return label.Compare(sh.lbls[out[i].lid], sh.lbls[out[j].lid]) < 0
+		})
+		edges := make([]Edge, 0, len(out))
+		for _, e := range out {
+			l := sh.lbls[e.lid]
+			child := key{class: sh.find(e.to), v: k.v.Mul(l.Variance()), depth: k.depth + 1}
 			edges = append(edges, Edge{Label: l, To: build(child)})
 		}
 		sk.States[id].Edges = edges
@@ -462,19 +494,39 @@ func (sh *Builder) sketchFor(v constraints.Var, maxDepth int, unifyMarks bool) *
 type Decorator struct {
 	g      *pgraph.Graph
 	revEps [][]pgraph.NodeID
+
+	// Walk scratch. seen is a bitset over state*NumNodes+node that is
+	// all zero between walks: a walk records each word it dirties in
+	// touched and zeroes exactly those words when it ends, so clearing
+	// costs the walk's footprint, not states×nodes bits.
+	seen    []uint64
+	touched []int32
+	stack   []decItem
+}
+
+// decItem is one (sketch state, graph node) pair of the product walk.
+type decItem struct {
+	st int
+	n  pgraph.NodeID
 }
 
 // decPool recycles Decorator scratch: the per-procedure revEps table —
 // one slice header per graph node plus every append-grown reverse-edge
-// spine — is an allocation hot spot on large corpora, and its capacity
-// is fully reusable across procedures.
+// spine — and the walk bitset are allocation hot spots on large
+// corpora, and their capacity is fully reusable across procedures.
 var decPool = sync.Pool{New: func() any { return &Decorator{} }}
 
 // NewDecorator prepares a decorator for the (saturated) graph, drawing
 // scratch from the package pool; pair with Release to recycle it.
 func NewDecorator(g *pgraph.Graph) *Decorator {
-	g.Saturate()
 	d := decPool.Get().(*Decorator)
+	d.reset(g)
+	return d
+}
+
+// reset points d at g and rebuilds the reverse ε table.
+func (d *Decorator) reset(g *pgraph.Graph) {
+	g.Saturate()
 	d.g = g
 	n := g.NumNodes()
 	if cap(d.revEps) < n {
@@ -489,7 +541,6 @@ func NewDecorator(g *pgraph.Graph) *Decorator {
 			d.revEps[succ] = append(d.revEps[succ], pgraph.NodeID(i))
 		}
 	}
-	return d
 }
 
 // Release returns the decorator's scratch to the package pool for
@@ -519,25 +570,30 @@ func (d *Decorator) Decorate(sk *Sketch, root constraints.Var) {
 		return
 	}
 	lat := d.g.Lattice()
+	nodes := d.g.NumNodes()
+	if words := (len(sk.States)*nodes + 63) / 64; len(d.seen) < words {
+		d.seen = append(d.seen, make([]uint64, words-len(d.seen))...)
+	}
 
 	// One product walk per direction. silent(n) yields ε-moves; read
 	// moves follow pop edges aligned with sketch edges. At each visited
 	// (state, node) with node a constant, apply the bound.
 	walk := func(silent func(pgraph.NodeID) []pgraph.NodeID, apply func(st int, e lattice.Elem)) {
-		type item struct {
-			st int
-			n  pgraph.NodeID
-		}
-		seen := map[item]bool{}
-		var stack []item
-		push := func(it item) {
-			if !seen[it] {
-				seen[it] = true
-				stack = append(stack, it)
+		stack := d.stack[:0]
+		push := func(it decItem) {
+			bit := it.st*nodes + int(it.n)
+			w, m := bit>>6, uint64(1)<<(bit&63)
+			if d.seen[w]&m != 0 {
+				return
 			}
+			if d.seen[w] == 0 {
+				d.touched = append(d.touched, int32(w))
+			}
+			d.seen[w] |= m
+			stack = append(stack, it)
 		}
 		for _, s := range starts {
-			push(item{0, s})
+			push(decItem{0, s})
 		}
 		for len(stack) > 0 {
 			it := stack[len(stack)-1]
@@ -546,14 +602,19 @@ func (d *Decorator) Decorate(sk *Sketch, root constraints.Var) {
 				apply(it.st, e)
 			}
 			for _, n2 := range silent(it.n) {
-				push(item{it.st, n2})
+				push(decItem{it.st, n2})
 			}
 			d.g.PopSucc(it.n, func(l label.Label, to pgraph.NodeID) {
 				if next := sk.States[it.st].Lookup(l); next >= 0 {
-					push(item{next, to})
+					push(decItem{next, to})
 				}
 			})
 		}
+		d.stack = stack[:0]
+		for _, w := range d.touched {
+			d.seen[w] = 0
+		}
+		d.touched = d.touched[:0]
 	}
 
 	walk(func(n pgraph.NodeID) []pgraph.NodeID { return d.revEps[n] },

@@ -17,6 +17,7 @@ package sketch
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -205,11 +206,16 @@ func (s *Sketch) Descend(w label.Word) (*Sketch, bool) {
 		return s.unsealedCopy(), true
 	}
 	// Extract the sub-automaton reachable from root.
-	remap := map[int]int{root: 0}
+	// remap[old] is the new index of state old, -1 until reached.
+	remap := make([]int, len(s.States))
+	for i := range remap {
+		remap[i] = -1
+	}
+	remap[root] = 0
 	order := []int{root}
 	for i := 0; i < len(order); i++ {
 		for _, e := range s.States[order[i]].Edges {
-			if _, seen := remap[e.To]; !seen {
+			if remap[e.To] < 0 {
 				remap[e.To] = len(order)
 				order = append(order, e.To)
 			}
@@ -275,27 +281,41 @@ func sortEdges(es []Edge) {
 // primary mark; we combine Lower with ∨ and Upper with ∧ pointwise,
 // which realizes ν⊓ = ν∧ at covariant nodes via Upper and ν∨ at
 // contravariant nodes via Lower).
-func (s *Sketch) Meet(t *Sketch) *Sketch { return combine(s, t, true) }
+func (s *Sketch) Meet(t *Sketch) *Sketch { return combine(s, 0, t, true) }
+
+// DescendMeet computes s.Descend(w) ⊓ t without materializing the
+// descended sub-sketch; ok is false when s has no state at w.
+func (s *Sketch) DescendMeet(w label.Word, t *Sketch) (*Sketch, bool) {
+	root, ok := s.StateAt(w)
+	if !ok {
+		return nil, false
+	}
+	return combine(s, root, t, true), true
+}
 
 // Join computes s ⊔ t: language intersection with dual mark
 // combination.
-func (s *Sketch) Join(t *Sketch) *Sketch { return combine(s, t, false) }
+func (s *Sketch) Join(t *Sketch) *Sketch { return combine(s, 0, t, false) }
 
 // combine implements the product construction for both lattice
-// operations. meet=true: union of languages (absent components behave
-// as neutral); meet=false: intersection.
-func combine(s, t *Sketch, meet bool) *Sketch {
+// operations, on the sub-automaton of s rooted at state sRoot (its
+// stored variances are never read: the product recomputes them from the
+// root). meet=true: union of languages (absent components behave as
+// neutral); meet=false: intersection.
+func combine(s *Sketch, sRoot int, t *Sketch, meet bool) *Sketch {
 	lat := s.Lat
 	type pair struct{ a, b int } // -1 = absent
-	index := map[pair]int{}
+	// index keys product states by the packed pair (a+1)<<32 | (b+1).
+	index := map[uint64]int{}
 	out := &Sketch{Lat: lat}
 	var build func(p pair, v label.Variance) int
 	build = func(p pair, v label.Variance) int {
-		if id, ok := index[p]; ok {
+		key := uint64(uint32(p.a+1))<<32 | uint64(uint32(p.b+1))
+		if id, ok := index[key]; ok {
 			return id
 		}
 		id := len(out.States)
-		index[p] = id
+		index[key] = id
 		out.States = append(out.States, State{Variance: v})
 
 		var sa, sb *State
@@ -329,30 +349,37 @@ func combine(s, t *Sketch, meet bool) *Sketch {
 			st.LowerSet, st.UpperSet = sb.LowerSet, sb.UpperSet
 		}
 
-		// Successor labels.
-		labels := map[label.Label]pair{}
+		// Successor labels: s's edges then t's, stably sorted by label,
+		// so each label's run ends with its last edge from either side
+		// (the one that counts if a side repeats a label).
+		type succ struct {
+			l    label.Label
+			to   int
+			from int // 0 for s, 1 for t
+		}
+		var succs []succ
 		if sa != nil {
 			for _, e := range sa.Edges {
-				labels[e.Label] = pair{e.To, -1}
+				succs = append(succs, succ{e.Label, e.To, 0})
 			}
 		}
 		if sb != nil {
 			for _, e := range sb.Edges {
-				if prev, ok := labels[e.Label]; ok {
-					labels[e.Label] = pair{prev.a, e.To}
-				} else {
-					labels[e.Label] = pair{-1, e.To}
-				}
+				succs = append(succs, succ{e.Label, e.To, 1})
 			}
 		}
-		var ls []label.Label
-		for l := range labels {
-			ls = append(ls, l)
-		}
-		label.SortLabels(ls)
+		slices.SortStableFunc(succs, func(a, b succ) int { return label.Compare(a.l, b.l) })
 		var edges []Edge
-		for _, l := range ls {
-			np := labels[l]
+		for i := 0; i < len(succs); {
+			l := succs[i].l
+			np := pair{-1, -1}
+			for ; i < len(succs) && succs[i].l == l; i++ {
+				if succs[i].from == 0 {
+					np.a = succs[i].to
+				} else {
+					np.b = succs[i].to
+				}
+			}
 			if !meet && (np.a < 0 || np.b < 0) {
 				continue // intersection: both must step
 			}
@@ -362,7 +389,7 @@ func combine(s, t *Sketch, meet bool) *Sketch {
 		out.States[id] = st
 		return id
 	}
-	build(pair{0, 0}, label.Covariant)
+	build(pair{sRoot, 0}, label.Covariant)
 	return out
 }
 

@@ -29,12 +29,14 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-func decodeString(data []byte, what string) (string, int, error) {
+// decodeBytes decodes one length-prefixed string; the returned slice
+// aliases data.
+func decodeBytes(data []byte, what string) ([]byte, int, error) {
 	ln, n := binary.Uvarint(data)
 	if n <= 0 || uint64(len(data)-n) < ln {
-		return "", 0, fmt.Errorf("sketch: truncated %s in wire form", what)
+		return nil, 0, fmt.Errorf("sketch: truncated %s in wire form", what)
 	}
-	return string(data[n : n+int(ln)]), n + int(ln), nil
+	return data[n : n+int(ln)], n + int(ln), nil
 }
 
 // AppendWire appends s's canonical wire form to buf. The receiver is
@@ -76,11 +78,11 @@ func (s *Sketch) AppendWire(buf []byte) []byte {
 // ErrUnknownLattice (wrapped) when the encoded lattice signature has no
 // built lattice here.
 func DecodeSketchWire(data []byte) (*Sketch, int, error) {
-	sig, n, err := decodeString(data, "lattice signature")
+	sig, n, err := decodeBytes(data, "lattice signature")
 	if err != nil {
 		return nil, 0, err
 	}
-	lat, ok := lattice.BySignature(sig)
+	lat, ok := lattice.BySignatureBytes(sig)
 	if !ok {
 		return nil, 0, fmt.Errorf("%w (signature %.16s…)", ErrUnknownLattice, sig)
 	}
@@ -99,8 +101,13 @@ func DecodeSketchWire(data []byte) (*Sketch, int, error) {
 	if nstates > uint64(len(data)-n) {
 		return nil, 0, fmt.Errorf("sketch: state count %d exceeds wire form size", nstates)
 	}
-	elem := func(name string) (lattice.Elem, error) {
-		e, ok := lat.Elem(name)
+	elem := func(what string) (lattice.Elem, error) {
+		name, m, err := decodeBytes(data[n:], what)
+		if err != nil {
+			return 0, err
+		}
+		n += m
+		e, ok := lat.ElemBytes(name)
 		if !ok {
 			return 0, fmt.Errorf("sketch: wire form references unknown lattice element %q", name)
 		}
@@ -117,28 +124,21 @@ func DecodeSketchWire(data []byte) (*Sketch, int, error) {
 		st.Variance = meta&1 != 0
 		st.Flags = Flags(meta >> 1)
 		for _, dst := range []*lattice.Elem{&st.Lower, &st.Upper} {
-			name, m, err := decodeString(data[n:], "lattice element")
-			if err != nil {
-				return nil, 0, err
-			}
-			n += m
-			if *dst, err = elem(name); err != nil {
+			if *dst, err = elem("lattice element"); err != nil {
 				return nil, 0, err
 			}
 		}
 		for _, set := range []*[]lattice.Elem{&st.LowerSet, &st.UpperSet} {
 			count, m := binary.Uvarint(data[n:])
-			if m <= 0 {
+			if m <= 0 || count > uint64(len(data)-n-m) {
 				return nil, 0, fmt.Errorf("sketch: truncated bound set in wire form")
 			}
 			n += m
+			if count > 0 {
+				*set = make([]lattice.Elem, 0, count)
+			}
 			for j := uint64(0); j < count; j++ {
-				name, m, err := decodeString(data[n:], "bound element")
-				if err != nil {
-					return nil, 0, err
-				}
-				n += m
-				e, err := elem(name)
+				e, err := elem("bound element")
 				if err != nil {
 					return nil, 0, err
 				}
@@ -146,10 +146,13 @@ func DecodeSketchWire(data []byte) (*Sketch, int, error) {
 			}
 		}
 		nedges, m := binary.Uvarint(data[n:])
-		if m <= 0 {
+		if m <= 0 || nedges > uint64(len(data)-n-m) {
 			return nil, 0, fmt.Errorf("sketch: truncated edge count in wire form")
 		}
 		n += m
+		if nedges > 0 {
+			st.Edges = make([]Edge, 0, nedges)
+		}
 		for j := uint64(0); j < nedges; j++ {
 			l, m, err := label.DecodeWire(data[n:])
 			if err != nil {

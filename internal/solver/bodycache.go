@@ -176,7 +176,17 @@ func (bc *bodyCache) empty() bool {
 // each with its interface and rendered constraint set. Equal digests
 // are what session compatibility and the body-class context signature
 // require — a loaded session carries only the digest, never the table.
+// The shared stock table is read-only, so its digest is computed once.
 func sumsDigest(sums summaries.Table) string {
+	if summaries.IsDefault(sums) {
+		return defaultSumsDigest()
+	}
+	return digestSums(sums)
+}
+
+var defaultSumsDigest = sync.OnceValue(func() string { return digestSums(summaries.Default()) })
+
+func digestSums(sums summaries.Table) string {
 	names := make([]string, 0, len(sums))
 	for k := range sums {
 		names = append(names, k)

@@ -2,9 +2,9 @@ package solver
 
 import (
 	"context"
-	"encoding/binary"
 	"hash/maphash"
 	"runtime/debug"
+	"strings"
 	"sync"
 
 	"retypd/internal/asm"
@@ -209,7 +209,7 @@ func (e *Engine) InferContext(ctx context.Context, prog *asm.Program, lat *latti
 	if err != nil {
 		return nil, err
 	}
-	e.record(lat, sums, "", opts, res, art, nil)
+	e.record(lat, sums, "", opts, res, art, nil, nil)
 	return res, nil
 }
 
@@ -259,152 +259,184 @@ func (e *Engine) ReanalyzeContext(ctx context.Context, prog *asm.Program, lat *l
 	}
 	opts.ctx = ctx
 
-	// Rebuild the program analyses in parallel, rebasing every unchanged
-	// procedure body onto the new program instead of re-running its
-	// per-procedure analyses (a session loaded from disk carries no
-	// analyses, so its first Reanalyze re-analyzes everything); the
+	// Rebuild the program analyses and portable body fingerprints in
+	// parallel. An unchanged procedure body is rebased onto the new
+	// program instead of re-running its per-procedure analyses, and keeps
+	// its snapshot's fingerprint: a fingerprint is a function of the body
+	// and the session configuration, which the compatibility check above
+	// proved unchanged. (A session loaded from disk carries no analyses,
+	// so its first Reanalyze re-analyzes everything.) The
 	// interprocedural HasOut fixpoint always re-runs. Byte-identical
-	// bodies share one analysis: ProcInfo is a pure function of the
-	// instruction stream, so one representative per group is analyzed
-	// and the rest clone — the same economy the body-dedup layer gives a
-	// cold run (dedup.go), without which warm-path CFG analysis would
-	// dominate Reanalyze on duplicate-heavy programs.
+	// bodies share one analysis and one fingerprint: both are pure
+	// functions of the instruction stream, so one representative per
+	// group is analyzed and the rest clone — the same economy the
+	// body-dedup layer gives a cold run (dedup.go), without which
+	// warm-path CFG analysis would dominate Reanalyze on duplicate-heavy
+	// programs.
 	workers := conc.Limit(opts.Workers)
-	infoList := make([]*cfg.ProcInfo, len(prog.Procs))
-	rep := make([]int, len(prog.Procs))
-	bodyGroups := make(map[uint64][]int, len(prog.Procs))
-	for i, p := range prog.Procs {
-		rep[i] = i
+	conf := sessionConfig(lat, opts)
+	order := prog.Procs
+	n := len(order)
+	infoList := make([]*cfg.ProcInfo, n)
+	fps := make([]*bodyfp.FP, n)
+	rep := make([]int, n)
+	sameHash := make([]int, n) // previous group representative with the same hash, or -1
+	firstOfHash := make(map[uint64]int, n)
+	for i, p := range order {
+		rep[i], sameHash[i] = i, -1
 		h := bodyHashOf(p)
-		for _, j := range bodyGroups[h] {
-			if prog.Procs[j].EqualBody(p) {
+		j, ok := firstOfHash[h]
+		for ; ok && j >= 0; j = sameHash[j] {
+			if order[j].EqualBody(p) {
 				rep[i] = j
 				break
 			}
 		}
 		if rep[i] == i {
-			bodyGroups[h] = append(bodyGroups[h], i)
+			if ok {
+				sameHash[i] = firstOfHash[h]
+			}
+			firstOfHash[h] = i
 		}
 	}
-	if err := conc.ForEachCtx(ctx, workers, len(prog.Procs), func(i int) {
+
+	// Seed dirtiness, per procedure: a new or changed body, or a call
+	// whose target flipped between program procedure and external (the
+	// fingerprint encodes only the name, but generation models the two
+	// differently). SCC membership changes are added below.
+	dirty := make([]bool, n)
+	seed := func(i int, snap *procSnap) {
+		if snap == nil || !snap.fp.EquivalentTo(fps[i]) {
+			dirty[i] = true
+			return
+		}
+		for _, c := range fps[i].Calls() {
+			_, isNew := prog.ProcIndex[c.Target]
+			if _, isOld := sess.procs[c.Target]; isNew != isOld {
+				dirty[i] = true
+				return
+			}
+		}
+	}
+
+	// Both stages run under the same containment as the pipeline's
+	// tasks, so a fault names its phase (and procedure). The call graph
+	// needs only the program, so it is built alongside the per-procedure
+	// analyses.
+	g := newGuard(ctx, opts.SchedHooks)
+	defer g.cancelRun()
+	var cg *cfg.CallGraph
+	cgDone := make(chan struct{})
+	go func() {
+		defer close(cgDone)
+		g.runGuarded("callgraph", -1, "", func() { cg = cfg.BuildCallGraph(prog) })
+	}()
+	err = conc.ForEachCtx(g.ctx, workers, n, func(i int) {
 		if rep[i] != i {
 			return
 		}
-		p := prog.Procs[i]
-		if snap, ok := sess.procs[p.Name]; ok && snap.info != nil && snap.info.Proc.EqualBody(p) {
-			infoList[i] = snap.info.CloneForProgram(prog, p)
-		} else {
-			infoList[i] = cfg.Analyze(prog, p)
-		}
-	}); err != nil {
+		p := order[i]
+		g.runGuarded("cfg", -1, p.Name, func() {
+			snap := sess.procs[p.Name]
+			if snap != nil && snap.info != nil && snap.info.Proc.EqualBody(p) {
+				infoList[i] = snap.info.CloneForProgram(prog, p)
+				fps[i] = snap.fp
+			} else {
+				infoList[i] = cfg.Analyze(prog, p)
+				fps[i] = bodyfp.ComputeWithLiveMask(p, conf, namedCallee, infoList[i].EntryLive)
+			}
+			seed(i, snap)
+		})
+	})
+	<-cgDone
+	if err = g.finish(err); err != nil {
 		return nil, err
 	}
-	for i, p := range prog.Procs {
-		if rep[i] != i {
-			infoList[i] = infoList[rep[i]].CloneForProgram(prog, p)
-		}
-	}
-	infos := make(map[string]*cfg.ProcInfo, len(prog.Procs))
-	for i, p := range prog.Procs {
-		infos[p.Name] = infoList[i]
-	}
-	cfg.FinishHasOut(infos)
-	cg := cfg.BuildCallGraph(prog)
-
-	// Portable body fingerprints of the new program.
-	conf := sessionConfig(lat, opts)
-	order := prog.Procs
-	fps := make([]*bodyfp.FP, len(order))
-	if err := conc.ForEachCtx(ctx, workers, len(order), func(i int) {
-		fps[i] = bodyfp.ComputeWithLiveMask(order[i], conf, namedCallee, infoList[i].EntryLive)
-	}); err != nil {
-		return nil, err
-	}
-	fpOf := make(map[string]*bodyfp.FP, len(order))
+	infos := make(map[string]*cfg.ProcInfo, n)
+	fpOf := make(map[string]*bodyfp.FP, n)
 	for i, p := range order {
+		if r := rep[i]; r != i {
+			infoList[i] = infoList[r].CloneForProgram(prog, p)
+			fps[i] = fps[r]
+			seed(i, sess.procs[p.Name])
+		}
+		infos[p.Name] = infoList[i]
 		fpOf[p.Name] = fps[i]
 	}
+	cfg.FinishHasOut(infos)
 
-	// Seed dirtiness: new/changed bodies, calls whose target flipped
-	// between program-procedure and external (the fingerprint encodes
-	// only the name, but generation models the two differently), and
-	// SCC membership changes.
-	isProcNew := func(name string) bool { _, ok := infos[name]; return ok }
-	isProcOld := func(name string) bool { _, ok := sess.procs[name]; return ok }
-	dirty := make(map[string]bool, len(order))
-	for _, p := range order {
-		snap, ok := sess.procs[p.Name]
-		d := !ok || !snap.fp.EquivalentTo(fpOf[p.Name])
-		if !d {
-			for _, c := range fpOf[p.Name].Calls() {
-				if isProcNew(c.Target) != isProcOld(c.Target) {
-					d = true
-					break
-				}
-			}
+	// A changed SCC membership dirties the procedure too. When no
+	// membership changed, the next session shares this one's SCC keys.
+	dirtyOf := make(map[string]bool, n)
+	anyDirty := false
+	sccSame := len(sess.sccKey) == n
+	for i, p := range order {
+		if !sccKeyIs(sess.sccKey[p.Name], cg.SCCs[cg.SCCOf[p.Name]]) {
+			dirty[i], sccSame = true, false
 		}
-		dirty[p.Name] = d
+		dirtyOf[p.Name] = dirty[i]
+		anyDirty = anyDirty || dirty[i]
 	}
-	sccKey := sccKeys(cg)
-	for p, key := range sccKey {
-		if sess.sccKey[p] != key {
-			dirty[p] = true
-		}
+	sccKey := sess.sccKey
+	if !sccSame {
+		sccKey = sccKeys(cg)
 	}
 
 	// Propagate to ancestors over the condensed call graph: schemes flow
 	// callee→caller, so every SCC that can reach a dirty SCC must
 	// recompute. cg.SCCs is bottom-up (every call edge from SCC i lands
-	// in some SCC j < i), so one forward pass suffices.
-	sccOf := map[string]int{}
-	for i, scc := range cg.SCCs {
-		for _, p := range scc {
-			sccOf[p] = i
-		}
-	}
-	sccDirty := make([]bool, len(cg.SCCs))
-	for i, scc := range cg.SCCs {
-		d := false
-		for _, p := range scc {
-			if dirty[p] {
-				d = true
-				break
-			}
-		}
-		if !d {
-		outer:
+	// in some SCC j < i), so one forward pass suffices. With nothing
+	// dirty there is nothing to propagate.
+	if anyDirty {
+		sccDirty := make([]bool, len(cg.SCCs))
+		for i, scc := range cg.SCCs {
+			d := false
 			for _, p := range scc {
-				for _, callee := range cg.Callees[p] {
-					if j, ok := sccOf[callee]; ok && j != i && sccDirty[j] {
-						d = true
-						break outer
+				if dirtyOf[p] {
+					d = true
+					break
+				}
+			}
+			if !d {
+			outer:
+				for _, p := range scc {
+					for _, callee := range cg.Callees[p] {
+						if j, ok := cg.SCCOf[callee]; ok && j != i && sccDirty[j] {
+							d = true
+							break outer
+						}
 					}
 				}
 			}
-		}
-		sccDirty[i] = d
-		if d {
-			for _, p := range scc {
-				dirty[p] = true
+			sccDirty[i] = d
+			if d {
+				for _, p := range scc {
+					dirtyOf[p] = true
+				}
 			}
 		}
 	}
 
-	replay := make(map[string]*procSnap, len(order))
-	for _, p := range order {
-		if !dirty[p.Name] {
-			replay[p.Name] = sess.procs[p.Name]
-		}
-	}
-
-	res, art, err := e.infer(prog, lat, sums, opts, infos, cg, &incrementalPlan{dirty: dirty, replay: replay})
+	res, art, err := e.infer(prog, lat, sums, opts, infos, cg, &incrementalPlan{dirty: dirtyOf, snaps: sess.procs})
 	if err != nil {
 		return nil, err
 	}
 	// The compatibility check above established that sums digests to
 	// the previous session's value.
-	e.record(lat, sums, sess.sumsDig, opts, res, art, fpOf)
+	e.record(lat, sums, sess.sumsDig, opts, res, art, fpOf, sccKey)
 	return res, nil
+}
+
+// sccKeyIs reports whether key is the sccKeys rendering of scc,
+// without building it.
+func sccKeyIs(key string, scc []string) bool {
+	for _, p := range scc {
+		if len(key) <= len(p) || key[:len(p)] != p || key[len(p)] != 0 {
+			return false
+		}
+		key = key[len(p)+1:]
+	}
+	return key == ""
 }
 
 // sccKeys renders each procedure's SCC membership canonically (members
@@ -412,10 +444,7 @@ func (e *Engine) ReanalyzeContext(ctx context.Context, prog *asm.Program, lat *l
 func sccKeys(cg *cfg.CallGraph) map[string]string {
 	out := make(map[string]string, len(cg.SCCs))
 	for _, scc := range cg.SCCs {
-		key := ""
-		for _, p := range scc {
-			key += p + "\x00"
-		}
+		key := strings.Join(scc, "\x00") + "\x00"
 		for _, p := range scc {
 			out[p] = key
 		}
@@ -423,12 +452,37 @@ func sccKeys(cg *cfg.CallGraph) map[string]string {
 	return out
 }
 
+// replayed reports whether procedure p is clean in an incremental run:
+// its results replay from the session instead of running F.1/F.2.
+func (pl *pipeline) replayed(p string) bool {
+	return pl.inc != nil && !pl.inc.dirty[p]
+}
+
+// replayClean replays every clean procedure of an incremental run
+// before the readiness graph starts. A clean procedure's callees are
+// all clean, so its replay waits on nothing this run computes, and the
+// graph schedules the dirty SCCs alone. Each replay runs under the
+// run's containment as phase "F.2", like the task it replaces.
+func (pl *pipeline) replayClean() error {
+	var clean []int
+	for pi, p := range pl.order {
+		if pl.replayed(p) {
+			clean = append(clean, pi)
+		}
+	}
+	return conc.ForEachCtx(pl.ctx, pl.workers, len(clean), func(k int) {
+		pi := clean[k]
+		p := pl.order[pi]
+		pl.runGuarded("F.2", -1, p, func() { pl.prs[pi], pl.obs[pi] = pl.replayProc(p) })
+	})
+}
+
 // replayProc rebuilds a clean procedure's result from its session
 // snapshot: a fresh shell (phase 3 fills SpecializedIns per run)
 // sharing the immutable pieces — the scheme and the sealed sketch —
 // plus the recorded callsite observations.
 func (pl *pipeline) replayProc(p string) (*ProcResult, []actualObs) {
-	snap := pl.inc.replay[p]
+	snap := pl.inc.snaps[p]
 	pi := pl.infos[p]
 	pr := &ProcResult{
 		Name:           p,
@@ -448,32 +502,33 @@ var bodyHashSeed = maphash.MakeSeed()
 
 // bodyHashOf hashes a procedure's raw instruction stream for exact
 // body grouping. Collisions are harmless (EqualBody arbitrates);
-// labels need not be folded in for the same reason.
+// labels need not be folded in for the same reason. Fixed-width fields
+// are packed into words and mixed inline; only call targets go through
+// maphash.
 func bodyHashOf(p *asm.Proc) uint64 {
-	var h maphash.Hash
-	h.SetSeed(bodyHashSeed)
-	var word [8]byte
-	for _, in := range p.Insts {
-		binary.LittleEndian.PutUint32(word[:4], uint32(in.Op))
-		word[4] = byte(in.Dst.Kind)
-		word[5] = byte(in.Dst.Reg)
-		word[6] = byte(in.Src.Kind)
-		word[7] = byte(in.Src.Reg)
-		h.Write(word[:])
-		binary.LittleEndian.PutUint32(word[:4], uint32(in.Dst.Imm))
-		binary.LittleEndian.PutUint32(word[4:], uint32(in.Src.Imm))
-		h.Write(word[:])
-		h.WriteString(in.Target)
+	mix := func(h, w uint64) uint64 {
+		h ^= w
+		h *= 0x9e3779b97f4a7c15
+		return h ^ h>>29
 	}
-	return h.Sum64()
+	h := uint64(len(p.Insts))
+	for _, in := range p.Insts {
+		h = mix(h, uint64(in.Op)|uint64(in.Dst.Kind)<<8|uint64(in.Dst.Reg)<<16|
+			uint64(in.Src.Kind)<<24|uint64(in.Src.Reg)<<32)
+		h = mix(h, uint64(uint32(in.Dst.Imm))|uint64(uint32(in.Src.Imm))<<32)
+		if in.Target != "" {
+			h = mix(h, maphash.String(bodyHashSeed, in.Target))
+		}
+	}
+	return h
 }
 
 // record publishes a run as the engine's session. fpOf and sumsDig
-// carry the session fingerprints and the digest of sums when the caller
-// already computed them (Reanalyze); otherwise (nil, "") they are
-// computed here. Runs whose options cannot be compared across calls
+// carry the session fingerprints and the digest of sums, and sccKey the
+// SCC keys of art.cg, when the caller already computed them
+// (Reanalyze); otherwise (nil, "", nil) they are computed here. Runs whose options cannot be compared across calls
 // (trace-restricted generation) are not recorded.
-func (e *Engine) record(lat *lattice.Lattice, sums summaries.Table, sumsDig string, opts Options, res *Result, art *runArtifacts, fpOf map[string]*bodyfp.FP) {
+func (e *Engine) record(lat *lattice.Lattice, sums summaries.Table, sumsDig string, opts Options, res *Result, art *runArtifacts, fpOf map[string]*bodyfp.FP, sccKey map[string]string) {
 	if e.noSessions || !sessionable(opts) {
 		return
 	}
@@ -494,12 +549,15 @@ func (e *Engine) record(lat *lattice.Lattice, sums summaries.Table, sumsDig stri
 	if sumsDig == "" {
 		sumsDig = sumsDigest(sums)
 	}
+	if sccKey == nil {
+		sccKey = sccKeys(art.cg)
+	}
 	sess := &session{
 		latSig:  lat.Signature(),
 		sumsDig: sumsDig,
 		opts:    opts,
 		procs:   make(map[string]*procSnap, len(art.order)),
-		sccKey:  sccKeys(art.cg),
+		sccKey:  sccKey,
 	}
 	for i, p := range art.order {
 		pr := art.prs[i]

@@ -29,19 +29,13 @@ import (
 // forward pass suffices. Each returned level lists SCC indices in
 // ascending order.
 func sccLevels(cg *cfg.CallGraph) [][]int {
-	sccOf := map[string]int{}
-	for i, scc := range cg.SCCs {
-		for _, p := range scc {
-			sccOf[p] = i
-		}
-	}
 	level := make([]int, len(cg.SCCs))
 	maxLevel := -1
 	for i, scc := range cg.SCCs {
 		lv := 0
 		for _, p := range scc {
 			for _, callee := range cg.Callees[p] {
-				j, ok := sccOf[callee]
+				j, ok := cg.SCCOf[callee]
 				if !ok || j == i {
 					continue // external or intra-SCC edge
 				}
@@ -129,11 +123,11 @@ func (pl *pipeline) classifyBodies(cg *cfg.CallGraph) ([]*memberPlan, error) {
 // gens, fps, prs, obs slots — all distinct slice elements owned by one
 // task) to the dependent task's reads.
 //
-// Incremental runs ride the same graph: a clean SCC's F.1 task is a
-// no-op (its schemes were pre-published from the session) and a clean
-// procedure's F.2 task replays its snapshot, but both still signal
-// their dependents, so dirty ancestors order after them exactly as
-// fresh work would.
+// Incremental runs put only dirty SCCs on the graph. Clean procedures
+// have only clean callees: their schemes are pre-published from the
+// session and their results replayed before the graph runs
+// (pipeline.replayClean), so a dirty SCC waits on its dirty callees
+// alone.
 type schedGraph struct {
 	pl    *pipeline
 	cg    *cfg.CallGraph
@@ -183,17 +177,16 @@ func (pl *pipeline) buildSched(cg *cfg.CallGraph, plans []*memberPlan) *schedGra
 		f2Pending: make([]atomic.Int32, len(pl.order)),
 		f2Waiters: make([][]int, len(pl.order)),
 	}
-	sccOf := make(map[string]int, len(pl.order))
 	for i, scc := range cg.SCCs {
-		for _, p := range scc {
-			sccOf[p] = i
+		if pl.replayed(scc[0]) {
+			// Replayed before the graph runs (replayClean): no task, and
+			// no dirty SCC waits on it.
+			continue
 		}
-	}
-	for i, scc := range cg.SCCs {
 		depSet := map[int]bool{}
 		for _, p := range scc {
 			for _, callee := range cg.Callees[p] {
-				if j, ok := sccOf[callee]; ok && j != i {
+				if j, ok := cg.SCCOf[callee]; ok && j != i && !pl.replayed(callee) {
 					depSet[j] = true
 				}
 			}
@@ -204,7 +197,7 @@ func (pl *pipeline) buildSched(cg *cfg.CallGraph, plans []*memberPlan) *schedGra
 			// take no dependency on any SCC of this run (their rep name
 			// belongs to the publishing program — a same-named local
 			// procedure, should one exist, is unrelated).
-			depSet[sccOf[plans[i].rep]] = true
+			depSet[cg.SCCOf[plans[i].rep]] = true
 		}
 		deps := make([]int, 0, len(depSet))
 		for j := range depSet {
@@ -246,11 +239,18 @@ func (pl *pipeline) buildSched(cg *cfg.CallGraph, plans []*memberPlan) *schedGra
 // dependents, so even before the cancel watcher fires the pool can only
 // shrink toward quiescence, never start work downstream of a fault.
 func (s *schedGraph) run() error {
+	var seeds []int
+	for i, scc := range s.cg.SCCs {
+		if s.f1Pending[i].Load() == 0 && !s.pl.replayed(scc[0]) {
+			seeds = append(seeds, i)
+		}
+	}
+	if len(seeds) == 0 {
+		return nil // nothing to schedule (every SCC replayed, or none)
+	}
 	return conc.RunPoolCtx(s.pl.ctx, s.pl.workers, s.pl.opts.SchedHooks, func(sub conc.Submitter) {
-		for i := range s.cg.SCCs {
-			if s.f1Pending[i].Load() == 0 {
-				sub.Submit(s.f1Task(i))
-			}
+		for _, i := range seeds {
+			sub.Submit(s.f1Task(i))
 		}
 	})
 }
@@ -286,9 +286,6 @@ func (s *schedGraph) f1Task(i int) conc.Task {
 func (s *schedGraph) runF1(i int) {
 	pl := s.pl
 	scc := s.cg.SCCs[i]
-	if pl.inc != nil && !pl.inc.dirty[scc[0]] {
-		return // clean SCC: schemes pre-published from the session
-	}
 	if plan := s.plans[i]; plan != nil {
 		pl.runMemberF1(scc[0], plan)
 		return
@@ -309,8 +306,6 @@ func (s *schedGraph) f2Task(pi int) conc.Task {
 			s.trace(evF2Start, pi, 0)
 			ok := pl.runGuarded("F.2", -1, p, func() {
 				switch {
-				case pl.inc != nil && !pl.inc.dirty[p]:
-					pl.prs[pi], pl.obs[pi] = pl.replayProc(p)
 				case pl.memberOf[pi] != nil && pl.memberOf[pi].entry != nil:
 					// Cross-program serve from a stored body entry; aux -1
 					// marks that the source is no procedure of this run.

@@ -228,8 +228,6 @@ func (e *Engine) LoadSessionData(data []byte) (int, error) {
 	sess := &session{
 		latSig:  latSig,
 		sumsDig: sumsDig,
-		procs:   map[string]*procSnap{},
-		sccKey:  map[string]string{},
 	}
 	sess.opts.Absint.MonomorphicCalls = bits&sessOptMonomorphicCalls != 0
 	sess.opts.Absint.PolymorphicExternals = bits&sessOptPolymorphicExternals != 0
@@ -263,8 +261,9 @@ func (e *Engine) LoadSessionData(data []byte) (int, error) {
 	}
 
 	// Pass 2: decode the records on all cores (the intern table and the
-	// lattice registry are concurrency-safe). Errors keep the lowest
-	// record index so a corrupt file reports deterministically.
+	// lattice registry are concurrency-safe), in contiguous chunks that
+	// each share identical sketch blobs. Errors keep the lowest record
+	// index so a corrupt file reports deterministically.
 	type sessRec struct {
 		name   string
 		snap   *procSnap
@@ -272,9 +271,16 @@ func (e *Engine) LoadSessionData(data []byte) (int, error) {
 		err    error
 	}
 	decoded := make([]sessRec, count)
-	conc.ForEach(conc.Limit(0), len(recs), func(i int) {
-		name, snap, sccKey, err := decodeSessionRecord(recs[i])
-		decoded[i] = sessRec{name: name, snap: snap, sccKey: sccKey, err: err}
+	sess.procs = make(map[string]*procSnap, count)
+	sess.sccKey = make(map[string]string, count)
+	workers := conc.Limit(0)
+	chunks := min(len(recs), 2*workers)
+	conc.ForEach(workers, chunks, func(c int) {
+		sketches := sketchMemo{}
+		for i := c * len(recs) / chunks; i < (c+1)*len(recs)/chunks; i++ {
+			name, snap, sccKey, err := decodeSessionRecord(recs[i], sketches)
+			decoded[i] = sessRec{name: name, snap: snap, sccKey: sccKey, err: err}
+		}
 	})
 	for i := range decoded {
 		if err := decoded[i].err; err != nil {
@@ -293,9 +299,33 @@ func (e *Engine) LoadSessionData(data []byte) (int, error) {
 	return len(sess.procs), nil
 }
 
+// sketchMemo shares one decoded sketch among the byte-identical sketch
+// blobs of a run of session records. Most blobs repeat — the same
+// callsite actuals and leaf-procedure sketches recur across a program —
+// and a decoded sketch is sealed, hence immutable and freely shared. A
+// memo is not safe for concurrent use: each decoding worker owns one.
+type sketchMemo map[string]*sketch.Sketch
+
+// decode returns the sealed sketch of blob, which must be exactly one
+// sketch wire form.
+func (sm sketchMemo) decode(blob []byte, what string) (*sketch.Sketch, error) {
+	if sk, ok := sm[string(blob)]; ok {
+		return sk, nil
+	}
+	sk, used, err := sketch.DecodeSketchWire(blob)
+	if err != nil {
+		return nil, err
+	}
+	if used != len(blob) {
+		return nil, fmt.Errorf("solver: %d trailing bytes in session %s blob", len(blob)-used, what)
+	}
+	sm[string(blob)] = sk.Seal()
+	return sk, nil
+}
+
 // decodeSessionRecord decodes one per-procedure session record (the
 // bytes inside its length prefix) and must consume it exactly.
-func decodeSessionRecord(rec []byte) (string, *procSnap, string, error) {
+func decodeSessionRecord(rec []byte, sketches sketchMemo) (string, *procSnap, string, error) {
 	n := 0
 	fail := func(err error) (string, *procSnap, string, error) { return "", nil, "", err }
 	decodeSketchBlob := func(what string) (*sketch.Sketch, error) {
@@ -304,15 +334,12 @@ func decodeSessionRecord(rec []byte) (string, *procSnap, string, error) {
 			return nil, fmt.Errorf("solver: truncated %s in session file", what)
 		}
 		n += m
-		sk, used, err := sketch.DecodeSketchWire(rec[n : n+int(ln)])
+		sk, err := sketches.decode(rec[n:n+int(ln)], what)
 		if err != nil {
 			return nil, err
 		}
-		if used != int(ln) {
-			return nil, fmt.Errorf("solver: %d trailing bytes in session %s blob", int(ln)-used, what)
-		}
 		n += int(ln)
-		return sk.Seal(), nil
+		return sk, nil
 	}
 	name, m, err := decodeCacheString(rec[n:], "procedure name")
 	if err != nil {
@@ -329,7 +356,9 @@ func decodeSessionRecord(rec []byte) (string, *procSnap, string, error) {
 		return fail(err)
 	}
 	n += m
-	pr := &ProcResult{Name: name, Scheme: scheme, SpecializedIns: map[string]*sketch.Sketch{}}
+	// Only the sketch of a snapshot's result is ever read (replayProc
+	// builds each run's result shell afresh).
+	pr := &ProcResult{Name: name, Scheme: scheme}
 	if n >= len(rec) {
 		return fail(fmt.Errorf("solver: truncated session sketch flag"))
 	}

@@ -359,15 +359,23 @@ func (e *Engine) infer(prog *asm.Program, lat *lattice.Lattice, sums summaries.T
 	if sums == nil {
 		sums = summaries.Default()
 	}
+	// The run context is cancelled when any task faults, so a contained
+	// panic drains the pool promptly instead of letting unrelated
+	// subtrees finish work whose results will be discarded.
+	g := newGuard(ctx, opts.SchedHooks)
+	defer g.cancelRun()
 	if cg == nil {
-		cg = cfg.BuildCallGraph(prog)
+		g.runGuarded("callgraph", -1, "", func() { cg = cfg.BuildCallGraph(prog) })
+		if err := g.finish(nil); err != nil {
+			return nil, nil, err
+		}
 	}
 	isConst := latticeConst(lat)
 
 	res := &Result{
 		Prog:       prog,
 		Lat:        lat,
-		Procs:      map[string]*ProcResult{},
+		Procs:      make(map[string]*ProcResult, len(prog.Procs)),
 		SCCs:       cg.SCCs,
 		sums:       sums,
 		absintOpts: opts.Absint,
@@ -381,13 +389,8 @@ func (e *Engine) infer(prog *asm.Program, lat *lattice.Lattice, sums summaries.T
 		shapeCache = nil
 	}
 
-	// The run context is cancelled when any task faults, so a contained
-	// panic drains the pool promptly instead of letting unrelated
-	// subtrees finish work whose results will be discarded.
-	runCtx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
-
 	pl := &pipeline{
+		guard:      g,
 		lat:        lat,
 		infos:      infos,
 		sums:       sums,
@@ -397,8 +400,6 @@ func (e *Engine) infer(prog *asm.Program, lat *lattice.Lattice, sums summaries.T
 		shapeCache: shapeCache,
 		workers:    conc.Limit(opts.Workers),
 		inc:        inc,
-		ctx:        runCtx,
-		cancelRun:  cancelRun,
 	}
 	pl.initIndex(cg)
 	if inc == nil && !opts.NoBodyDedup && opts.Absint.Covered == nil {
@@ -410,8 +411,10 @@ func (e *Engine) infer(prog *asm.Program, lat *lattice.Lattice, sums summaries.T
 	if inc != nil {
 		// Clean procedures replay their previous schemes; publish them
 		// before any task runs so dirty callers see every callee.
-		for p, snap := range inc.replay {
-			pl.schemes[pl.procIdx[p]] = snap.scheme
+		for i, p := range pl.order {
+			if !inc.dirty[p] {
+				pl.schemes[i] = inc.snaps[p].scheme
+			}
 		}
 	}
 
@@ -445,17 +448,23 @@ func (e *Engine) infer(prog *asm.Program, lat *lattice.Lattice, sums summaries.T
 	}
 	pl.infos = infos
 	res.Infos = infos
+	if inc != nil {
+		if err := pl.finish(pl.replayClean()); err != nil {
+			return nil, nil, err
+		}
+	}
 	if err := pl.finish(pl.buildSched(cg, plans).run()); err != nil {
 		return nil, nil, err
 	}
-	// Phase 3 (F.3): the sequential actuals join and the per-procedure
-	// refinement fan-out, both under the same containment.
-	var actuals map[actualKey]*sketch.Sketch
+	// Phase 3 (F.3): the sequential actuals grouping and the
+	// per-procedure join and refinement fan-out, both under the same
+	// containment.
+	var actuals [][]actualObs
 	pl.runGuarded("F.3", -1, "", func() { actuals = pl.collectActuals(res) })
 	if err := pl.finish(nil); err != nil {
 		return nil, nil, err
 	}
-	if err := pl.finish(pl.refineParameters(res, actuals)); err != nil {
+	if err := pl.finish(pl.refineParameters(actuals)); err != nil {
 		return nil, nil, err
 	}
 
@@ -491,15 +500,16 @@ type runArtifacts struct {
 
 // incrementalPlan tells a pipeline run which procedures changed since
 // the engine's previous session. dirty covers every procedure of the
-// new program; replay maps each clean procedure to its snapshot from
-// the previous run. The plan's construction (Engine.Reanalyze)
+// new program; snaps is the previous session's snapshot map, which
+// holds every clean procedure's snapshot. The plan's construction
+// (Engine.Reanalyze)
 // guarantees the replay soundness invariant: a clean procedure's
 // transitive callees are all clean, so its previous scheme, sketch and
 // callsite observations are byte-identical to what a from-scratch run
 // would compute.
 type incrementalPlan struct {
-	dirty  map[string]bool
-	replay map[string]*procSnap
+	dirty map[string]bool
+	snaps map[string]*procSnap
 }
 
 // pipeline carries the shared read-mostly state of one Infer run.
@@ -517,15 +527,8 @@ type pipeline struct {
 	// engine-shared memos; the caches themselves keep no counters.
 	schemeTally, shapeTally memoTally
 
-	// ctx is the run context (the caller's ctx wrapped in a cancel);
-	// cancelRun cancels it. The first task fault records itself in ferr
-	// under failMu and then calls cancelRun — in that order, so by the
-	// time any phase observes the cancellation the structured error is
-	// already readable.
-	ctx       context.Context
-	cancelRun context.CancelFunc
-	failMu    sync.Mutex
-	ferr      *AnalysisError
+	// guard is the run's panic containment and run context.
+	*guard
 
 	// order is the canonical procedure order (top-down SCC order,
 	// members in SCC slice order); procIdx its inverse. Both are frozen
@@ -633,51 +636,71 @@ func (pl *pipeline) buildInfos(prog *asm.Program) (map[string]*cfg.ProcInfo, err
 	return infos, nil
 }
 
+// guard is a run's panic containment. ctx is the run context (the
+// caller's ctx wrapped in a cancel); cancelRun cancels it. The first
+// task fault records itself in ferr under failMu and then calls
+// cancelRun — in that order, so by the time any phase observes the
+// cancellation the structured error is already readable.
+type guard struct {
+	hooks     *conc.SchedHooks
+	ctx       context.Context
+	cancelRun context.CancelFunc
+	failMu    sync.Mutex
+	ferr      *AnalysisError
+}
+
+// newGuard derives a cancellable run context from ctx; the caller must
+// call cancelRun once the run is over.
+func newGuard(ctx context.Context, hooks *conc.SchedHooks) *guard {
+	runCtx, cancel := context.WithCancel(ctx)
+	return &guard{hooks: hooks, ctx: runCtx, cancelRun: cancel}
+}
+
 // fail records a task fault (first one wins) and cancels the run
 // context so every pool drains at its next task boundary.
-func (pl *pipeline) fail(phase string, scc int, proc string, value any, stack []byte) {
-	pl.failMu.Lock()
-	if pl.ferr == nil {
-		pl.ferr = &AnalysisError{Phase: phase, SCC: scc, Proc: proc, Value: value, Stack: stack}
+func (g *guard) fail(phase string, scc int, proc string, value any, stack []byte) {
+	g.failMu.Lock()
+	if g.ferr == nil {
+		g.ferr = &AnalysisError{Phase: phase, SCC: scc, Proc: proc, Value: value, Stack: stack}
 	}
-	pl.failMu.Unlock()
-	pl.cancelRun()
+	g.failMu.Unlock()
+	g.cancelRun()
 }
 
 // failed returns the run's recorded fault, if any.
-func (pl *pipeline) failed() *AnalysisError {
-	pl.failMu.Lock()
-	defer pl.failMu.Unlock()
-	return pl.ferr
+func (g *guard) failed() *AnalysisError {
+	g.failMu.Lock()
+	defer g.failMu.Unlock()
+	return g.ferr
 }
 
 // finish resolves one phase's outcome into the run's authoritative
 // error: a recorded task fault wins over the pool cancellation it
 // triggered (phaseErr is then the run context's Canceled); otherwise
 // the phase error — the caller's own cancellation or deadline — stands.
-func (pl *pipeline) finish(phaseErr error) error {
-	if e := pl.failed(); e != nil {
+func (g *guard) finish(phaseErr error) error {
+	if e := g.failed(); e != nil {
 		return e
 	}
 	return phaseErr
 }
 
-// runGuarded is the pipeline's panic containment: every identified task
-// body — F.0 classification items, per-procedure CFG analyses, F.1
-// scheme inference, F.2 sketch solving, F.3 refinement items — runs
-// inside it. A panic (from the
+// runGuarded is the run's panic containment: every identified task
+// body — the call graph, per-procedure CFG analyses, F.0
+// classification items, F.1 scheme inference, F.2 sketch solving, F.3
+// refinement items — runs inside it. A panic (from the
 // task or from an injected SchedHooks.BeforeTask hook, which runs in
 // the same scope precisely so injected faults surface with the task's
 // identity) is converted into the run's *AnalysisError and cancels the
 // run; it never crosses a goroutine boundary raw. ok reports whether f
 // completed, so schedulers signal dependents only for real results.
-func (pl *pipeline) runGuarded(phase string, scc int, proc string, f func()) (ok bool) {
+func (g *guard) runGuarded(phase string, scc int, proc string, f func()) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			pl.fail(phase, scc, proc, r, debug.Stack())
+			g.fail(phase, scc, proc, r, debug.Stack())
 		}
 	}()
-	if h := pl.opts.SchedHooks; h != nil && h.BeforeTask != nil {
+	if h := g.hooks; h != nil && h.BeforeTask != nil {
 		name := proc
 		if name == "" && scc >= 0 {
 			name = fmt.Sprintf("scc=%d", scc)
@@ -828,46 +851,24 @@ type actualObs struct {
 }
 
 // collectActuals gathers the scheduled F.2 results: publish every
-// procedure's result and join the callsite actuals per callee formal
-// in a canonical order.
-func (pl *pipeline) collectActuals(res *Result) map[actualKey]*sketch.Sketch {
+// procedure's result and group the callsite actuals by callee (indexed
+// like pl.order) for refineParameters to join.
+func (pl *pipeline) collectActuals(res *Result) [][]actualObs {
 	for i, p := range pl.order {
 		res.Procs[p] = pl.prs[i]
 	}
-
-	// Deterministic accumulation: flatten and sort all observations by
-	// (callee, location, caller, callsite) before joining, so the join
-	// order per callee/param key is stable no matter which worker got
-	// there first.
 	if pl.opts.NoSpecialize {
 		return nil
 	}
-	var all []actualObs
-	for _, o := range pl.obs {
-		all = append(all, o...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.key.callee != b.key.callee {
-			return a.key.callee < b.key.callee
-		}
-		if a.key.loc != b.key.loc {
-			return a.key.loc < b.key.loc
-		}
-		if a.caller != b.caller {
-			return a.caller < b.caller
-		}
-		return a.inst < b.inst
-	})
-	actuals := map[actualKey]*sketch.Sketch{}
-	for _, o := range all {
-		if prev, ok := actuals[o.key]; ok {
-			actuals[o.key] = prev.Join(o.sk)
-		} else {
-			actuals[o.key] = o.sk
+	byCallee := make([][]actualObs, len(pl.order))
+	for _, obs := range pl.obs {
+		for _, o := range obs {
+			if i, ok := pl.procIdx[o.key.callee]; ok {
+				byCallee[i] = append(byCallee[i], o)
+			}
 		}
 	}
-	return actuals
+	return byCallee
 }
 
 // solveProc solves one procedure's sketch and records the actual
@@ -958,31 +959,51 @@ func (pl *pipeline) solveProc(p string) (*ProcResult, []actualObs) {
 }
 
 // refineParameters is Phase 3 (F.3): refine formals with the joined
-// observed actuals, per procedure in sorted name order. Items run under
+// observed actuals, per procedure in canonical order. Each formal's
+// observations are joined in (caller, callsite) order, so the join
+// order is stable no matter which worker produced them. Items run under
 // the run's panic containment and the fan-out observes the run context,
 // so a fault or a cancellation stops the phase at an item boundary.
-func (pl *pipeline) refineParameters(res *Result, actuals map[actualKey]*sketch.Sketch) error {
+func (pl *pipeline) refineParameters(actuals [][]actualObs) error {
 	if pl.opts.NoSpecialize {
 		return nil
 	}
-	names := make([]string, 0, len(res.Procs))
-	for n := range res.Procs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return conc.ForEachCtx(pl.ctx, pl.workers, len(names), func(i int) {
-		pl.runGuarded("F.3", -1, names[i], func() {
-			pr := res.Procs[names[i]]
+	return conc.ForEachCtx(pl.ctx, pl.workers, len(pl.order), func(i int) {
+		p := pl.order[i]
+		pl.runGuarded("F.3", -1, p, func() {
+			obs := actuals[i]
+			if len(obs) == 0 {
+				return
+			}
+			slices.SortStableFunc(obs, func(a, b actualObs) int {
+				if c := strings.Compare(a.key.loc, b.key.loc); c != 0 {
+					return c
+				}
+				if c := strings.Compare(a.caller, b.caller); c != 0 {
+					return c
+				}
+				return a.inst - b.inst
+			})
+			pr := pl.prs[i]
 			for _, l := range pr.FormalIns {
-				k := actualKey{names[i], l.ParamName()}
-				joined, ok := actuals[k]
-				if !ok {
+				loc := l.ParamName()
+				var joined *sketch.Sketch
+				for _, o := range obs {
+					switch {
+					case o.key.loc != loc:
+					case joined == nil:
+						joined = o.sk
+					default:
+						joined = joined.Join(o.sk)
+					}
+				}
+				if joined == nil {
 					continue
 				}
-				if formal, ok := pr.Sketch.Descend(label.Word{label.In(l.ParamName())}); ok {
-					pr.SpecializedIns[l.ParamName()] = formal.Meet(joined)
+				if spec, ok := pr.Sketch.DescendMeet(label.Word{label.In(loc)}, joined); ok {
+					pr.SpecializedIns[loc] = spec
 				} else {
-					pr.SpecializedIns[l.ParamName()] = joined
+					pr.SpecializedIns[loc] = joined
 				}
 			}
 		})

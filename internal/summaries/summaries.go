@@ -11,6 +11,8 @@
 package summaries
 
 import (
+	"reflect"
+
 	"retypd/internal/constraints"
 )
 
@@ -52,6 +54,12 @@ var defaultTable = buildDefault()
 // synthetic corpus. The returned table is shared — treat it as
 // read-only; to customize, copy it into a fresh Table first.
 func Default() Table { return defaultTable }
+
+// IsDefault reports whether t is the shared stock table itself (not an
+// equal copy), so callers may memoize derived values such as digests.
+func IsDefault(t Table) bool {
+	return reflect.ValueOf(t).UnsafePointer() == reflect.ValueOf(defaultTable).UnsafePointer()
+}
 
 func buildDefault() Table {
 	t := Table{}
