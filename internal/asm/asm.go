@@ -12,8 +12,11 @@ package asm
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Reg is a 32-bit general-purpose register.
@@ -45,10 +48,23 @@ func (r Reg) String() string {
 
 // ParseReg parses a register name.
 func ParseReg(s string) (Reg, bool) {
-	for i, n := range regNames {
-		if n == s {
-			return Reg(i), true
-		}
+	switch s {
+	case "eax":
+		return EAX, true
+	case "ebx":
+		return EBX, true
+	case "ecx":
+		return ECX, true
+	case "edx":
+		return EDX, true
+	case "esi":
+		return ESI, true
+	case "edi":
+		return EDI, true
+	case "ebp":
+		return EBP, true
+	case "esp":
+		return ESP, true
 	}
 	return NoReg, false
 }
@@ -240,13 +256,6 @@ func (p *Program) NumInsts() int {
 	return n
 }
 
-// conditional mnemonics accepted by the parser.
-var condNames = map[string]bool{
-	"jz": true, "jnz": true, "je": true, "jne": true, "jl": true,
-	"jle": true, "jg": true, "jge": true, "ja": true, "jae": true,
-	"jb": true, "jbe": true, "js": true, "jns": true,
-}
-
 // ParseError is a structured parse failure: Line is the 1-based source
 // line the error is anchored to (0 when the failure is not tied to one,
 // like a missing endproc), Msg the bare message. It renders as the
@@ -281,14 +290,32 @@ func parseErrf(line int, format string, args ...any) *ParseError {
 //	    ret
 //	endproc
 //
-// Labels end with ':'. Numbers may be decimal or 0x-prefixed hex.
+// Labels end with ':' and are unique within a procedure. Numbers may
+// be decimal or 0x-prefixed hex; an immediate must fit in 32 bits,
+// signed or unsigned ([-2^31, 2^32-1]), and unsigned values above
+// 2^31-1 wrap to their two's-complement int32. docs/ARCHITECTURE.md
+// ("Parser") gives the grammar in full.
+//
+// Parse is one forward scan of src. Names, labels and targets are
+// substrings of src, and every procedure's instructions are a capped
+// window of one instruction arena, so the allocations are per
+// procedure, not per line.
 func Parse(src string) (*Program, error) {
+	// Each instruction takes a line of its own, so the arena never
+	// outgrows this capacity and no window is ever copied.
+	arena := make([]Inst, 0, strings.Count(src, "\n")+1)
 	prog := &Program{ProcIndex: map[string]*Proc{}}
 	var cur *Proc
+	start := 0 // arena index of cur's first instruction
 	lineNo := 0
-	for _, raw := range strings.Split(src, "\n") {
+	for rest, more := src, true; more; {
+		line := rest
+		if nl := strings.IndexByte(rest, '\n'); nl >= 0 {
+			line, rest = rest[:nl], rest[nl+1:]
+		} else {
+			more = false
+		}
 		lineNo++
-		line := raw
 		if i := strings.IndexByte(line, ';'); i >= 0 {
 			line = line[:i]
 		}
@@ -296,22 +323,24 @@ func Parse(src string) (*Program, error) {
 		if line == "" {
 			continue
 		}
-		fields := strings.Fields(line)
-		switch fields[0] {
+		head, tail := cutField(line)
+		switch head {
 		case "proc":
 			if cur != nil {
 				return nil, parseErrf(lineNo, "nested proc")
 			}
-			if len(fields) < 2 {
+			if tail == "" {
 				return nil, parseErrf(lineNo, "proc needs a name")
 			}
-			cur = &Proc{Name: fields[1], Labels: map[string]int{}}
+			name, _ := cutField(strings.TrimLeftFunc(tail, unicode.IsSpace))
+			cur = &Proc{Name: name, Labels: map[string]int{}}
+			start = len(arena)
 			continue
 		case "endproc":
 			if cur == nil {
 				return nil, parseErrf(lineNo, "endproc outside proc")
 			}
-			if len(cur.Insts) == 0 {
+			if len(arena) == start {
 				// Every analysis stage assumes a procedure has an entry
 				// instruction; reject the empty body here, with a line.
 				return nil, parseErrf(lineNo, "proc %q has no instructions", cur.Name)
@@ -319,6 +348,7 @@ func Parse(src string) (*Program, error) {
 			if prog.ProcIndex[cur.Name] != nil {
 				return nil, parseErrf(lineNo, "duplicate proc %q", cur.Name)
 			}
+			cur.Insts = arena[start:len(arena):len(arena)]
 			prog.Procs = append(prog.Procs, cur)
 			prog.ProcIndex[cur.Name] = cur
 			cur = nil
@@ -327,15 +357,19 @@ func Parse(src string) (*Program, error) {
 		if cur == nil {
 			return nil, parseErrf(lineNo, "instruction outside proc: %q", line)
 		}
-		if strings.HasSuffix(fields[0], ":") && len(fields) == 1 {
-			cur.Labels[strings.TrimSuffix(fields[0], ":")] = len(cur.Insts)
+		if tail == "" && strings.HasSuffix(head, ":") {
+			name := head[:len(head)-1]
+			if _, dup := cur.Labels[name]; dup {
+				return nil, parseErrf(lineNo, "duplicate label %q in proc %q", name, cur.Name)
+			}
+			cur.Labels[name] = len(arena) - start
 			continue
 		}
 		inst, err := parseInst(line)
 		if err != nil {
 			return nil, parseErrf(lineNo, "%v", err)
 		}
-		cur.Insts = append(cur.Insts, inst)
+		arena = append(arena, inst)
 	}
 	if cur != nil {
 		return nil, parseErrf(0, "missing endproc for %q", cur.Name)
@@ -353,6 +387,31 @@ func Parse(src string) (*Program, error) {
 	return prog, nil
 }
 
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// cutField splits s at its first white-space rune, by the rule
+// strings.Fields uses (unicode.IsSpace; an invalid UTF-8 byte is not
+// space): field is s up to that rune and rest the remainder from it on,
+// "" when s is one field.
+func cutField(s string) (field, rest string) {
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if asciiSpace[c] {
+				return s[:i], s[i:]
+			}
+			i++
+			continue
+		}
+		r, n := utf8.DecodeRuneInString(s[i:])
+		if unicode.IsSpace(r) {
+			return s[:i], s[i:]
+		}
+		i += n
+	}
+	return s, ""
+}
+
 // MustParse panics on error; for statically known sources.
 func MustParse(src string) *Program {
 	p, err := Parse(src)
@@ -362,18 +421,20 @@ func MustParse(src string) *Program {
 	return p
 }
 
+// parseInst parses one trimmed instruction line. The mnemonic ends at
+// the first space or tab.
 func parseInst(line string) (Inst, error) {
-	sp := strings.IndexAny(line, " \t")
-	mnemonic := line
-	rest := ""
-	if sp >= 0 {
-		mnemonic = line[:sp]
-		rest = strings.TrimSpace(line[sp:])
+	mnemonic, rest := line, ""
+	for i := 0; i < len(line); i++ {
+		if line[i] == ' ' || line[i] == '\t' {
+			mnemonic, rest = line[:i], strings.TrimSpace(line[i:])
+			break
+		}
 	}
-	args := splitArgs(rest)
+	args, nargs := splitOperands(rest)
 
-	if condNames[mnemonic] {
-		if len(args) != 1 {
+	if isCond(mnemonic) {
+		if nargs != 1 {
 			return Inst{}, fmt.Errorf("%s needs a label", mnemonic)
 		}
 		return Inst{Op: JCC, Target: args[0], Cond: mnemonic}, nil
@@ -386,17 +447,17 @@ func parseInst(line string) (Inst, error) {
 	case "leave":
 		return Inst{Op: LEAVE}, nil
 	case "jmp":
-		if len(args) != 1 {
+		if nargs != 1 {
 			return Inst{}, fmt.Errorf("jmp needs a target")
 		}
 		return Inst{Op: JMP, Target: args[0]}, nil
 	case "call":
-		if len(args) != 1 {
+		if nargs != 1 {
 			return Inst{}, fmt.Errorf("call needs a target")
 		}
 		return Inst{Op: CALL, Target: args[0]}, nil
 	case "push":
-		if len(args) != 1 {
+		if nargs != 1 {
 			return Inst{}, fmt.Errorf("push needs an operand")
 		}
 		op, err := parseOperand(args[0])
@@ -405,7 +466,7 @@ func parseInst(line string) (Inst, error) {
 		}
 		return Inst{Op: PUSH, Src: op}, nil
 	case "pop":
-		if len(args) != 1 {
+		if nargs != 1 {
 			return Inst{}, fmt.Errorf("pop needs a register")
 		}
 		op, err := parseOperand(args[0])
@@ -451,7 +512,7 @@ func parseInst(line string) (Inst, error) {
 	default:
 		return Inst{}, fmt.Errorf("unknown mnemonic %q", mnemonic)
 	}
-	if len(args) != 2 {
+	if nargs != 2 {
 		return Inst{}, fmt.Errorf("%s needs 2 operands", mnemonic)
 	}
 	dst, err := parseOperand(args[0])
@@ -471,16 +532,37 @@ func parseInst(line string) (Inst, error) {
 	return Inst{Op: op, Dst: dst, Src: src}, nil
 }
 
-func splitArgs(s string) []string {
+// isCond reports whether m is a conditional-jump mnemonic.
+func isCond(m string) bool {
+	switch m {
+	case "jz", "jnz", "je", "jne", "jl", "jle", "jg", "jge",
+		"ja", "jae", "jb", "jbe", "js", "jns":
+		return true
+	}
+	return false
+}
+
+// splitOperands splits an operand list at its commas and trims each
+// operand. It returns the first two operands and the operand count (0
+// for an empty list); no instruction takes more than two.
+func splitOperands(s string) (args [2]string, n int) {
 	if s == "" {
-		return nil
+		return args, 0
 	}
-	parts := strings.Split(s, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		out = append(out, strings.TrimSpace(p))
+	for {
+		part := s
+		comma := strings.IndexByte(s, ',')
+		if comma >= 0 {
+			part, s = s[:comma], s[comma+1:]
+		}
+		if n < len(args) {
+			args[n] = strings.TrimSpace(part)
+		}
+		n++
+		if comma < 0 {
+			return args, n
+		}
 	}
-	return out
 }
 
 func parseOperand(s string) (Operand, error) {
@@ -517,6 +599,9 @@ func parseOperand(s string) (Operand, error) {
 	v, err := strconv.ParseInt(s, 0, 64)
 	if err != nil {
 		return Operand{}, fmt.Errorf("bad operand %q", s)
+	}
+	if v < math.MinInt32 || v > math.MaxUint32 {
+		return Operand{}, fmt.Errorf("immediate %q out of 32-bit range", s)
 	}
 	return Imm(int32(v)), nil
 }

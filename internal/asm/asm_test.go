@@ -1,6 +1,8 @@
 package asm
 
 import (
+	"errors"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -74,10 +76,35 @@ func TestParseErrors(t *testing.T) {
 		"proc f\nbogus eax, 1\nret\nendproc",         // unknown mnemonic
 		"proc f\nendproc",                            // no instructions
 		"proc f\nL:\nendproc",                        // only a label
+		"proc f\nmov eax, 0x100000000\nret\nendproc", // immediate above 2^32-1
+		"proc f\nmov eax, 99999999999\nret\nendproc", // immediate above 2^32-1
+		"proc f\npush -2147483649\nret\nendproc",     // immediate below -2^31
+		"proc f\nL:\nnop\nL:\njz L\nret\nendproc",    // duplicate label
 	} {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("expected error for %q", src)
 		}
+	}
+	// The new rejections are anchored to their line.
+	for _, c := range []struct {
+		src  string
+		want string
+	}{
+		{"proc f\nmov eax, 0x100000000\nret\nendproc", `asm:2: immediate "0x100000000" out of 32-bit range`},
+		{"proc f\nL:\nnop\nL:\njz L\nret\nendproc", `asm:4: duplicate label "L" in proc "f"`},
+	} {
+		var pe *ParseError
+		if _, err := Parse(c.src); !errors.As(err, &pe) || pe.Error() != c.want {
+			t.Errorf("Parse(%q) = %v, want %s", c.src, err, c.want)
+		}
+	}
+	// Unsigned 32-bit literals wrap to their int32 bit pattern.
+	p, err := Parse("proc f\nmov eax, 0xffffffff\nmov ebx, -0x80000000\nret\nendproc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Procs[0].Insts; got[0].Src.Imm != -1 || got[1].Src.Imm != math.MinInt32 {
+		t.Errorf("32-bit bounds parsed to %v, %v", got[0], got[1])
 	}
 }
 
@@ -130,7 +157,7 @@ endproc
 
 // TestConditionalZoo: every conditional mnemonic parses to JCC.
 func TestConditionalZoo(t *testing.T) {
-	for cond := range condNames {
+	for cond := range refCondNames {
 		src := "proc f\nl:\n    " + cond + " l\n    ret\nendproc\n"
 		p, err := Parse(src)
 		if err != nil {

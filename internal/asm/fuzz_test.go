@@ -2,10 +2,13 @@ package asm
 
 import (
 	"errors"
+	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
+	"retypd/internal/corpus"
 	"retypd/internal/fuzzcorpus"
 )
 
@@ -91,6 +94,95 @@ func FuzzParseAsm(f *testing.F) {
 					}
 				}
 			}
+		}
+	})
+}
+
+func printOrNil(p *Program) string {
+	if p == nil {
+		return "<nil>"
+	}
+	return printProgram(p)
+}
+
+// refEdgeSeeds are the corners where a byte scanner most easily drifts
+// from the line-splitting reference: Unicode and control white space
+// (trimming and field splitting honour unicode.IsSpace, the mnemonic
+// split only space and tab, operand bodies drop only spaces), invalid
+// UTF-8, strconv base-0 literal forms, the 32-bit immediate range,
+// trailing fields the grammar ignores, odd labels and operand counts.
+var refEdgeSeeds = []string{
+	"proc\u00a0f\n\u2003mov eax,\u00a0ebx\nret\u0085\nendproc\n",
+	"proc f\n  nop\u00a0x\n  mov\u00a0eax, 1\n  ret\nendproc\n",
+	"proc f\u3000g\n  ret\nendproc\n",
+	"proc\tf\n\tmov\teax,\t[ebp+8]\n\tret\nendproc\n",
+	"proc f\n  mov\veax, 1\n  ret\nendproc\n",
+	"proc f\n  mov eax, [ebp\t+8]\n  ret\nendproc\n",
+	"proc f\n  mov eax, [\tebp+8]\n  ret\nendproc\n",
+	"proc f\n  mov eax, [ebp+-8]\n  mov eax, [ebp--8]\n  mov eax, [ ebp - 0x10 ]\n  ret\nendproc\n",
+	"proc f\n  mov eax, [ebp-8+4]\n  ret\nendproc\n",
+	"proc f\n  mov eax, [ebp+0x80000000]\n  ret\nendproc\n",
+	"proc f\n  mov eax, [ebp--2147483648]\n  ret\nendproc\n",
+	"proc f\n  mov eax, []\n  ret\nendproc\n",
+	"proc f\n  mov eax, [\n  ret\nendproc\n",
+	"proc f\n  mov eax, 1_0\n  add eax, 0x_1f\n  sub eax, 0b101\n  xor eax, 0o17\n  and eax, 017\n  ret\nendproc\n",
+	"proc f\n  mov eax, 0xffffffff\n  mov ebx, -0x80000000\n  ret\nendproc\n",
+	"proc f\n  mov eax, 0x100000000\n  ret\nendproc\n",
+	"proc f\n  push -2147483649\n  ret\nendproc\n",
+	"proc f\n  push 99999999999\n  ret\nendproc\n",
+	"proc f\n  push 9223372036854775808\n  ret\nendproc\n",
+	"proc f g h\n  nop x\n  leave y, z\n  ret x y\nendproc z\n",
+	"proc f\na:b:\n  jz a:b\n  ret\nendproc\n",
+	"proc f\n:\n  jmp \n  ret\nendproc\n",
+	"proc f\nL: nop\n  ret\nendproc\n",
+	"proc f\nL:\n  nop\nL:\n  jz L\n  ret\nendproc\n",
+	"proc f\nL:\n  ret\nendproc\nproc g\nL:\n  jz L\n  ret\nendproc\n",
+	"proc f\n  ret\nend:\nendproc\n",
+	"proc f\r\n  mov eax, 1\r\n  ret\r\nendproc\r\n",
+	"proc f\n  mov eax, 1 ; trailing comment\n  ; whole-line comment\n  ret;\nendproc;x\n",
+	"proc f\n  mov eax,\xff1\n  ret\nendproc\n",
+	"proc \xc2\xa0f\xff\n  ret\nendproc\n",
+	"proc f\n  call ,\n  ret\nendproc\n",
+	"proc f\n  call a b\n  jmp a,\n  ret\nendproc\n",
+	"proc f\n  push\n  pop 5\n  pop [eax]\n  ret\nendproc\n",
+	"proc f\n  mov eax, ebx, ecx\n  ret\nendproc\n",
+	"proc f\n  mov eax,\n  ret\nendproc\n",
+	"proc f\n  mov , ebx\n  ret\nendproc\n",
+	"proc f\n  jz\n  ret\nendproc\n",
+	"proc f\n  jz a, b\n  ret\nendproc\n",
+	"proc f\n  MOV eax, 1\n  mov EAX, 1\n  ret\nendproc\n",
+	"proc\n",
+	"proc f\n  jz nowhere\n  ret\nendproc\nproc g\n  bogus\nendproc\n",
+	"proc f\n  jz nowhere\n  ret\nendproc\nproc g\n  ret\n",
+	"endproc x\n",
+	"\n\n   \n",
+	"",
+}
+
+// FuzzParseMatchesReference: on arbitrary source Parse must produce
+// exactly what the reference parser produces — the same Program
+// (reflect.DeepEqual: procedures, instruction streams, label maps,
+// index) or the same line-anchored *ParseError.
+func FuzzParseMatchesReference(f *testing.F) {
+	for _, seed := range fuzzAsmSeeds() {
+		f.Add(seed)
+	}
+	for _, src := range refEdgeSeeds {
+		f.Add([]byte(src))
+	}
+	// Small corpus programs: realistic, label-bearing inputs.
+	for seed := int64(1); seed <= 16; seed++ {
+		f.Add([]byte(corpus.Generate(fmt.Sprintf("ref%d", seed), seed, 20*int(seed)).Source))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := string(data)
+		got, gerr := Parse(src)
+		want, werr := refParse(src)
+		if !reflect.DeepEqual(gerr, werr) {
+			t.Fatalf("error differs on %q:\n got  %v\n want %v", src, gerr, werr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("program differs on %q:\n got  %s\n want %s", src, printOrNil(got), printOrNil(want))
 		}
 	})
 }
